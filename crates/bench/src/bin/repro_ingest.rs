@@ -1,6 +1,8 @@
 //! Measure the allocation-lean ingest path: rebuild-every-round
-//! parse+summarize vs the delta-aware [`Ingester`] across churn levels,
-//! with a counting allocator to show the per-round allocation win.
+//! parse+summarize through the single parser (`parse_document`) vs the
+//! delta-aware [`Ingester`](ganglia_metrics::Ingester) across churn
+//! levels, with a counting allocator to show the per-round allocation
+//! win.
 //!
 //! Usage: `repro_ingest [hosts] [rounds] [--smoke] [--json <path>]`
 //!
@@ -14,11 +16,12 @@
 //!
 //! The worst case is gated too: at 100% churn — every host's bytes
 //! change every round, so the fingerprint cache never hits — the delta
-//! path must still be at least as fast as the plain parser (speedup ≥
+//! path must still be at least as fast as the single parser (speedup ≥
 //! 1.0x) and must not allocate more than the baseline plus a small
-//! constant. This is the regression bar: the streaming no-DOM rebuild
-//! path means a full-churn round costs no more than `parse_document`,
-//! and these gates keep it that way.
+//! constant. This is the regression bar: the Ingester builds every
+//! missed host through the same document builder `parse_document`
+//! uses, so a full-churn round costs no more than `parse_document`, and
+//! these gates keep it that way.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -198,8 +201,7 @@ fn main() -> ExitCode {
         }
         // Self-check 6 (the worst-case gate): at 100% churn the cache
         // never hits, and the delta path must still not be slower than
-        // plain parse+merge. This is the bar the streaming no-DOM
-        // rebuild path exists to hold.
+        // the single parser's parse+merge.
         let Some(full) = result.rows.iter().find(|r| r.churn >= 1.0) else {
             eprintln!("smoke FAILED: churn sweep is missing the 100% row");
             return ExitCode::FAILURE;

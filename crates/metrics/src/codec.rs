@@ -1,25 +1,20 @@
-//! Streaming conversion between the typed model and Ganglia XML.
+//! Streaming conversion of the typed model to Ganglia XML, and the
+//! [`ParseError`] the reading direction reports.
 //!
-//! `parse_document` drives the zero-copy pull parser directly into model
-//! structures — no DOM is materialized. `write_document` streams a model
-//! back out through the XML writer. Together they implement the wire
-//! format of figure 3 in the paper, including nested grids in summary
-//! form.
+//! `write_document` streams a model out through the XML writer;
+//! [`crate::stream::parse_document`] reads it back without a DOM.
+//! Together they implement the wire format of figure 3 in the paper,
+//! including nested grids in summary form.
 
 use std::fmt;
-use std::str::FromStr;
-use std::sync::Arc;
 
 use ganglia_xml::names::{self, attr};
-use ganglia_xml::{Attribute, Event, PullParser, XmlError, XmlWriter};
+use ganglia_xml::{XmlError, XmlWriter};
 
-use crate::atom::Atom;
 use crate::model::{
     ClusterBody, ClusterNode, GangliaDoc, GridBody, GridItem, GridNode, HostNode, MetricEntry,
-    MetricSummary, SummaryBody,
+    SummaryBody,
 };
-use crate::slope::Slope;
-use crate::value::{MetricType, MetricValue};
 
 /// Error produced while mapping XML onto the model.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,359 +69,6 @@ impl From<XmlError> for ParseError {
     fn from(e: XmlError) -> Self {
         ParseError::Xml(e)
     }
-}
-
-type Result<T> = std::result::Result<T, ParseError>;
-
-// ---------------------------------------------------------------------
-// Attribute helpers
-// ---------------------------------------------------------------------
-
-pub(crate) fn find<'a, 'b>(attrs: &'a [Attribute<'b>], name: &str) -> Option<&'a str> {
-    attrs
-        .iter()
-        .find(|a| a.name == name)
-        .map(|a| a.value.as_ref())
-}
-
-pub(crate) fn required<'a>(
-    attrs: &'a [Attribute<'_>],
-    element: &'static str,
-    name: &'static str,
-) -> Result<&'a str> {
-    find(attrs, name).ok_or(ParseError::MissingAttr {
-        element,
-        attr: name,
-    })
-}
-
-fn optional_string(attrs: &[Attribute<'_>], name: &str) -> String {
-    find(attrs, name).unwrap_or("").to_string()
-}
-
-/// Intern an optional attribute straight from the borrowed value — no
-/// intermediate `String` even when the attribute is present.
-fn optional_atom(attrs: &[Attribute<'_>], name: &str) -> Atom {
-    match find(attrs, name) {
-        Some(value) => Atom::new(value),
-        None => Atom::empty(),
-    }
-}
-
-pub(crate) fn parse_num<T: FromStr>(
-    attrs: &[Attribute<'_>],
-    element: &'static str,
-    name: &'static str,
-    default: T,
-) -> Result<T> {
-    match find(attrs, name) {
-        None => Ok(default),
-        Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
-            element,
-            attr: name.to_string(),
-            value: raw.to_string(),
-        }),
-    }
-}
-
-/// Like [`parse_num`] but absence stays absent (`None`) instead of
-/// collapsing into a default. Used for the `#IMPLIED` timestamp
-/// attributes (`REPORTED`, `LOCALTIME`), where a default of 0 would
-/// read as epoch 1970 — ~56 years of data age. Malformed values are
-/// still hard errors.
-pub(crate) fn parse_opt_num<T: FromStr>(
-    attrs: &[Attribute<'_>],
-    element: &'static str,
-    name: &'static str,
-) -> Result<Option<T>> {
-    match find(attrs, name) {
-        None => Ok(None),
-        Some(raw) => raw.parse().map(Some).map_err(|_| ParseError::BadAttr {
-            element,
-            attr: name.to_string(),
-            value: raw.to_string(),
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-/// Parse a complete Ganglia XML report into the typed model.
-pub fn parse_document(input: &str) -> Result<GangliaDoc> {
-    let mut parser = PullParser::new(input);
-    // Skip prolog (declaration, DOCTYPE, comments) to the root element.
-    let root = loop {
-        match parser.next_event()? {
-            Some(Event::Start {
-                name, attributes, ..
-            }) => break (name, attributes),
-            Some(Event::Decl(_) | Event::Comment(_)) => continue,
-            Some(other) => {
-                return Err(ParseError::UnexpectedTag {
-                    parent: "(document)".into(),
-                    tag: format!("{other:?}"),
-                })
-            }
-            None => return Err(ParseError::BadRoot("(empty)".into())),
-        }
-    };
-    let (root_name, root_attrs) = root;
-    if root_name != names::GANGLIA_XML {
-        return Err(ParseError::BadRoot(root_name.to_string()));
-    }
-    let mut doc = GangliaDoc {
-        version: optional_string(&root_attrs, attr::VERSION),
-        source: optional_string(&root_attrs, attr::SOURCE),
-        items: Vec::new(),
-    };
-    loop {
-        match parser.next_event()? {
-            Some(Event::Start {
-                name, attributes, ..
-            }) => match name {
-                names::GRID => doc
-                    .items
-                    .push(GridItem::Grid(parse_grid(&mut parser, &attributes)?)),
-                names::CLUSTER => doc
-                    .items
-                    .push(GridItem::Cluster(parse_cluster(&mut parser, &attributes)?)),
-                other => {
-                    return Err(ParseError::UnexpectedTag {
-                        parent: names::GANGLIA_XML.into(),
-                        tag: other.to_string(),
-                    })
-                }
-            },
-            Some(Event::End { .. }) => break,
-            Some(_) => continue,
-            None => break,
-        }
-    }
-    Ok(doc)
-}
-
-pub(crate) fn parse_grid(parser: &mut PullParser<'_>, attrs: &[Attribute<'_>]) -> Result<GridNode> {
-    let name = required(attrs, names::GRID, attr::NAME)?.to_string();
-    let authority = optional_string(attrs, attr::AUTHORITY);
-    let localtime = parse_opt_num::<u64>(attrs, names::GRID, attr::LOCALTIME)?;
-    let mut items: Vec<GridItem> = Vec::new();
-    let mut summary: Option<SummaryBody> = None;
-    loop {
-        match parser.next_event()? {
-            Some(Event::Start {
-                name: tag,
-                attributes,
-                ..
-            }) => match tag {
-                names::GRID => items.push(GridItem::Grid(parse_grid(parser, &attributes)?)),
-                names::CLUSTER => {
-                    items.push(GridItem::Cluster(parse_cluster(parser, &attributes)?))
-                }
-                names::HOSTS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.hosts_up = parse_num(&attributes, names::HOSTS, attr::UP, 0u32)?;
-                    body.hosts_down = parse_num(&attributes, names::HOSTS, attr::DOWN, 0u32)?;
-                    skip_element(parser)?;
-                }
-                names::METRICS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.metrics.push(parse_metric_summary(&attributes)?);
-                    skip_element(parser)?;
-                }
-                other => {
-                    return Err(ParseError::UnexpectedTag {
-                        parent: names::GRID.into(),
-                        tag: other.to_string(),
-                    })
-                }
-            },
-            Some(Event::End { .. }) => break,
-            Some(_) => continue,
-            None => break,
-        }
-    }
-    let body = match summary {
-        Some(s) if items.is_empty() => GridBody::Summary(s),
-        // A grid reporting both nested items and its own rolled-up summary
-        // keeps the expanded form; summaries are recomputable.
-        Some(_) | None => GridBody::Items(items),
-    };
-    Ok(GridNode {
-        name,
-        authority,
-        localtime,
-        body,
-    })
-}
-
-pub(crate) fn parse_cluster(
-    parser: &mut PullParser<'_>,
-    attrs: &[Attribute<'_>],
-) -> Result<ClusterNode> {
-    let name = required(attrs, names::CLUSTER, attr::NAME)?.to_string();
-    let owner = optional_string(attrs, attr::OWNER);
-    let latlong = optional_string(attrs, attr::LATLONG);
-    let url = optional_string(attrs, attr::URL);
-    let localtime = parse_opt_num::<u64>(attrs, names::CLUSTER, attr::LOCALTIME)?;
-    let mut hosts: Vec<Arc<HostNode>> = Vec::new();
-    let mut summary: Option<SummaryBody> = None;
-    loop {
-        match parser.next_event()? {
-            Some(Event::Start {
-                name: tag,
-                attributes,
-                ..
-            }) => match tag {
-                names::HOST => hosts.push(Arc::new(parse_host(parser, &attributes)?)),
-                names::HOSTS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.hosts_up = parse_num(&attributes, names::HOSTS, attr::UP, 0u32)?;
-                    body.hosts_down = parse_num(&attributes, names::HOSTS, attr::DOWN, 0u32)?;
-                    skip_element(parser)?;
-                }
-                names::METRICS => {
-                    let body = summary.get_or_insert_with(SummaryBody::default);
-                    body.metrics.push(parse_metric_summary(&attributes)?);
-                    skip_element(parser)?;
-                }
-                other => {
-                    return Err(ParseError::UnexpectedTag {
-                        parent: names::CLUSTER.into(),
-                        tag: other.to_string(),
-                    })
-                }
-            },
-            Some(Event::End { .. }) => break,
-            Some(_) => continue,
-            None => break,
-        }
-    }
-    let body = match (hosts.is_empty(), summary) {
-        (false, None) => ClusterBody::Hosts(hosts),
-        (true, Some(s)) => ClusterBody::Summary(s),
-        (true, None) => ClusterBody::Hosts(Vec::new()),
-        (false, Some(_)) => return Err(ParseError::MixedClusterBody(name)),
-    };
-    Ok(ClusterNode {
-        name,
-        owner,
-        latlong,
-        url,
-        localtime,
-        body,
-    })
-}
-
-pub(crate) fn parse_host(parser: &mut PullParser<'_>, attrs: &[Attribute<'_>]) -> Result<HostNode> {
-    let host = HostNode {
-        name: Atom::new(required(attrs, names::HOST, attr::NAME)?),
-        ip: optional_string(attrs, attr::IP),
-        reported: parse_opt_num::<u64>(attrs, names::HOST, attr::REPORTED)?,
-        tn: parse_num(attrs, names::HOST, attr::TN, 0u32)?,
-        tmax: parse_num(attrs, names::HOST, attr::TMAX, 20u32)?,
-        dmax: parse_num(attrs, names::HOST, attr::DMAX, 0u32)?,
-        location: optional_string(attrs, attr::LOCATION),
-        gmond_started: parse_num(attrs, names::HOST, attr::STARTED, 0u64)?,
-        metrics: Vec::new(),
-    };
-    let mut host = host;
-    loop {
-        match parser.next_event()? {
-            Some(Event::Start {
-                name: tag,
-                attributes,
-                ..
-            }) => match tag {
-                names::METRIC => {
-                    host.metrics.push(parse_metric(&attributes)?);
-                    skip_element(parser)?;
-                }
-                // Later gmond versions attach EXTRA_DATA; tolerated.
-                names::EXTRA_DATA | names::EXTRA_ELEMENT => skip_element(parser)?,
-                other => {
-                    return Err(ParseError::UnexpectedTag {
-                        parent: names::HOST.into(),
-                        tag: other.to_string(),
-                    })
-                }
-            },
-            Some(Event::End { .. }) => break,
-            Some(_) => continue,
-            None => break,
-        }
-    }
-    Ok(host)
-}
-
-fn parse_metric(attrs: &[Attribute<'_>]) -> Result<MetricEntry> {
-    let name = Atom::new(required(attrs, names::METRIC, attr::NAME)?);
-    let ty_raw = required(attrs, names::METRIC, attr::TYPE)?;
-    let ty: MetricType = ty_raw.parse().map_err(|_| ParseError::BadAttr {
-        element: names::METRIC,
-        attr: attr::TYPE.to_string(),
-        value: ty_raw.to_string(),
-    })?;
-    let val_raw = required(attrs, names::METRIC, attr::VAL)?;
-    let value = MetricValue::parse(ty, val_raw).map_err(|_| ParseError::BadAttr {
-        element: names::METRIC,
-        attr: attr::VAL.to_string(),
-        value: val_raw.to_string(),
-    })?;
-    let slope = match find(attrs, attr::SLOPE) {
-        None => Slope::Unspecified,
-        Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
-            element: names::METRIC,
-            attr: attr::SLOPE.to_string(),
-            value: raw.to_string(),
-        })?,
-    };
-    Ok(MetricEntry {
-        name,
-        value,
-        units: optional_atom(attrs, attr::UNITS),
-        tn: parse_num(attrs, names::METRIC, attr::TN, 0u32)?,
-        tmax: parse_num(attrs, names::METRIC, attr::TMAX, 60u32)?,
-        dmax: parse_num(attrs, names::METRIC, attr::DMAX, 0u32)?,
-        slope,
-        source: optional_atom(attrs, attr::SOURCE),
-    })
-}
-
-pub(crate) fn parse_metric_summary(attrs: &[Attribute<'_>]) -> Result<MetricSummary> {
-    let name = Atom::new(required(attrs, names::METRICS, attr::NAME)?);
-    let ty = match find(attrs, attr::TYPE) {
-        None => MetricType::Double,
-        Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
-            element: names::METRICS,
-            attr: attr::TYPE.to_string(),
-            value: raw.to_string(),
-        })?,
-    };
-    let slope = match find(attrs, attr::SLOPE) {
-        None => Slope::Unspecified,
-        Some(raw) => raw.parse().map_err(|_| ParseError::BadAttr {
-            element: names::METRICS,
-            attr: attr::SLOPE.to_string(),
-            value: raw.to_string(),
-        })?,
-    };
-    Ok(MetricSummary {
-        name,
-        sum: parse_num(attrs, names::METRICS, attr::SUM, 0.0f64)?,
-        num: parse_num(attrs, names::METRICS, attr::NUM, 0u32)?,
-        ty,
-        units: optional_atom(attrs, attr::UNITS),
-        slope,
-        source: optional_atom(attrs, attr::SOURCE),
-    })
-}
-
-/// Consume events to the end of the element whose start was just read.
-fn skip_element(parser: &mut PullParser<'_>) -> Result<()> {
-    parser.skip_subtree()?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -677,7 +319,8 @@ fn format_sum(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::GangliaDoc;
+    use crate::stream::parse_document;
+    use crate::value::MetricValue;
 
     /// The paper's figure 3 document, transcribed.
     const FIG3: &str = r#"<GANGLIA_XML VERSION="2.5.4" SOURCE="gmetad">

@@ -13,9 +13,9 @@
 //!   delimited with the parser's raw skip (no events, no attribute
 //!   vectors) and fingerprinted; a hit reuses the previous round's
 //!   `Arc<HostNode>`, a miss re-parses just that span **through the
-//!   streaming no-DOM machine** ([`crate::stream`]): events land in one
-//!   reusable scratch, so the only allocations a rebuild performs are
-//!   the ones the new node itself needs;
+//!   document builder's host parser** ([`crate::stream`]): events land
+//!   in one reusable scratch, so the only allocations a rebuild performs
+//!   are the ones the new node itself needs;
 //! * **cluster summary** — if the roster of host fingerprints is
 //!   unchanged, the cached summary `Arc` is reused outright. Otherwise
 //!   the summary is recomputed by whichever strategy is cheaper for the
@@ -254,7 +254,7 @@ struct ClusterCache {
     ///   and fingerprinted first; only misses are parsed. Unchanged hosts
     ///   cost one byte scan, but a miss scans its span twice.
     /// * `true` (direct mode, high churn): each host is parsed through
-    ///   the streaming machine in the same pass that delimits its span,
+    ///   the document builder in the same pass that delimits its span,
     ///   then fingerprinted. Every host pays one parse, but nothing is
     ///   scanned twice — so a 100%-churn round costs no more than a
     ///   plain parse.
@@ -292,7 +292,7 @@ pub struct Ingester {
     /// the cached copy is pure overhead and is suspended (see
     /// `ingest_with`).
     doc_miss_streak: u8,
-    /// Reusable event scratch for the streaming machine.
+    /// Reusable event scratch for the pull parser.
     scratch: AttrScratch,
 }
 
@@ -466,9 +466,10 @@ impl Ingester {
         })
     }
 
-    /// Mirror of the streaming grid parser, recursing through nested
-    /// grids and routing clusters through the host cache. Returns the
-    /// node plus its summary (what `GridNode::summary()` would compute).
+    /// Mirror of the document builder's grid parser, recursing through
+    /// nested grids and routing clusters through the host cache. Returns
+    /// the node plus its summary (what `GridNode::summary()` would
+    /// compute).
     #[allow(clippy::too_many_arguments)]
     fn ingest_grid(
         &mut self,
@@ -573,8 +574,8 @@ impl Ingester {
         ))
     }
 
-    /// Mirror of the streaming cluster parser with the delta path: each
-    /// `<HOST>` span is fingerprinted before it is parsed.
+    /// Mirror of the document builder's cluster parser with the delta
+    /// path: each `<HOST>` span is fingerprinted before it is parsed.
     #[allow(clippy::too_many_arguments)]
     fn ingest_cluster(
         &mut self,
@@ -639,7 +640,14 @@ impl Ingester {
                                 names::HOST,
                                 attr::NAME,
                             )?);
-                            parser.skip_subtree_raw()?;
+                            if let Err(scan_err) = parser.skip_subtree_raw() {
+                                // The byte scan only knows the subtree
+                                // is malformed; re-read it through the
+                                // event path, which reports the error a
+                                // full parse of this document reports.
+                                stream::parse_host_streaming(parser, input, scratch, 0)?;
+                                return Err(scan_err.into());
+                            }
                             let span = &input[span_start..parser.offset()];
                             (host_name, fingerprint64(span.as_bytes()), None)
                         };
@@ -662,7 +670,7 @@ impl Ingester {
                             stats.hosts_reused += 1;
                         } else {
                             // Span miss: in skip mode the host is parsed
-                            // now, through the streaming machine over its
+                            // now, through the document builder over its
                             // span. Full well-formedness checks apply;
                             // the only allocations are the node's own.
                             let node = match parsed {
@@ -671,6 +679,7 @@ impl Ingester {
                                     let span = &input[span_start..parser.offset()];
                                     stream::parse_host_span_streaming(
                                         span,
+                                        span_start,
                                         scratch,
                                         cache.metrics_hint,
                                     )?
@@ -817,7 +826,8 @@ fn count_detail_hosts(doc: &GangliaDoc) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{parse_document, write_document};
+    use crate::codec::write_document;
+    use crate::stream::parse_document;
 
     fn cluster_xml(hosts: &[(u32, f64)]) -> String {
         let mut xml = String::from(
@@ -999,7 +1009,7 @@ mod tests {
             }
             xml.push_str("</HOST>");
             let mut scratch = AttrScratch::new();
-            stream::parse_host_span_streaming(&xml, &mut scratch, 0).unwrap()
+            stream::parse_host_span_streaming(&xml, 0, &mut scratch, 0).unwrap()
         };
         let mut str_host = mk("s", 5, &[("os", "0")]);
         str_host.metrics[0].value = crate::value::MetricValue::String("linux".into());

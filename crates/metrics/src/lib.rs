@@ -15,7 +15,9 @@
 //! * [`model`] — the typed monitoring tree (`GRID` / `CLUSTER` / `HOST` /
 //!   `METRIC`, and the summary forms `HOSTS` / `METRICS`), including the
 //!   additive-reduction summaries of paper §3.2;
-//! * [`codec`] — streaming conversion between the model and Ganglia XML;
+//! * [`stream`] — the document builder: Ganglia XML to the model through
+//!   the pull parser's event stream, with no DOM ([`parse_document`]);
+//! * [`codec`] — streaming conversion of the model back to Ganglia XML;
 //! * [`atom`] — the intern table behind the model's [`atom::Atom`] name
 //!   fields: the same few hundred strings repeat across every host and
 //!   every round, so they are stored once and shared;
@@ -38,8 +40,7 @@ pub mod value;
 
 pub use atom::{intern_stats, Atom, InternStats};
 pub use codec::{
-    parse_document, render_document_into, write_document, write_document_hinted, ParseError,
-    RenderHint,
+    render_document_into, write_document, write_document_hinted, ParseError, RenderHint,
 };
 pub use definition::{builtin_metrics, MetricDefinition, MetricRegistry};
 pub use delta::{MetricDelta, SummaryDelta};
@@ -49,5 +50,5 @@ pub use model::{
     MetricSummary, SummaryBody,
 };
 pub use slope::Slope;
-pub use stream::parse_document_streaming;
+pub use stream::parse_document;
 pub use value::{MetricType, MetricValue};

@@ -1,32 +1,18 @@
-//! Streaming no-DOM construction of model nodes.
+//! The document builder: Ganglia XML to the typed model, with no DOM.
 //!
-//! [`crate::codec::parse_document`] drives the *eventful* pull API: every
-//! start tag materializes a `Vec<Attribute>` and every entity-escaped
-//! value an owned `String`. That is fine for a one-shot parse, but the
-//! delta-aware [`crate::ingest::Ingester`] re-parses host subtrees every
-//! round, and at 100% churn those per-event allocations made the delta
-//! path *slower* than the plain parser it was supposed to beat.
+//! An event-driven state machine over [`PullParser::next_event_into`]:
+//! attribute spans and expanded entities land in one reusable
+//! [`AttrScratch`], and `HostNode` / `SummaryBody` values are built
+//! directly from the scratch — no attribute vectors, no intermediate
+//! tree. The only allocations a parse performs are the ones the
+//! *result* needs (the nodes' own strings and vectors).
 //!
-//! This module is the allocation-lean twin: an event-driven state machine
-//! over [`PullParser::next_event_into`] that writes attribute spans and
-//! expanded entities into one reusable [`AttrScratch`] per source and
-//! builds `HostNode` / `SummaryBody` values directly from the scratch —
-//! no `Vec<Attribute>`, no `Cow`, no intermediate DOM. The only
-//! allocations left on a host re-parse are the ones the *result* needs
-//! (the node's own strings and metric vector).
-//!
-//! Two invariants the rest of the system depends on, enforced by unit
-//! tests here and the adversarial proptests in
-//! `tests/proptest_stream.rs`:
-//!
-//! * **value identity** — for any input, [`parse_document_streaming`]
-//!   produces exactly the document [`crate::codec::parse_document`]
-//!   produces (hence byte-identical renders);
-//! * **error identity** — for any malformed input, both parsers fail
-//!   with the *same* [`ParseError`] value. The helpers below perform the
-//!   identical checks in the identical order as their `codec` twins, and
-//!   `next_event_into` mirrors `next_event`'s well-formedness checks, so
-//!   this holds by construction.
+//! [`parse_document`] is the one-shot entry point. The delta-aware
+//! [`crate::ingest::Ingester`] walks documents itself but builds every
+//! host, summary and header through the element parsers here, so both
+//! paths accept the same documents, build the same values and report
+//! the same [`ParseError`]s. `tests/proptest_stream.rs` holds the two
+//! to that on adversarial input.
 //!
 //! Scratch ownership rule (see also [`AttrScratch`]): spans handed out
 //! for one event die at the next `next_event_into` call. Every helper
@@ -50,8 +36,7 @@ use crate::value::{MetricType, MetricValue};
 type Result<T> = std::result::Result<T, ParseError>;
 
 // ---------------------------------------------------------------------
-// Scratch-backed attribute helpers (twins of the `codec` helpers over
-// `&[Attribute]`, same error construction in the same order)
+// Attribute helpers over the current start tag's scratch
 // ---------------------------------------------------------------------
 
 pub(crate) fn find<'s>(input: &'s str, scratch: &'s AttrScratch, name: &str) -> Option<&'s str> {
@@ -74,6 +59,8 @@ pub(crate) fn optional_string(input: &str, scratch: &AttrScratch, name: &str) ->
     find(input, scratch, name).unwrap_or("").to_string()
 }
 
+/// Intern an optional attribute straight from the scratch — no
+/// intermediate `String` even when the attribute is present.
 pub(crate) fn optional_atom(input: &str, scratch: &AttrScratch, name: &str) -> Atom {
     match find(input, scratch, name) {
         Some(value) => Atom::new(value),
@@ -98,6 +85,11 @@ pub(crate) fn parse_num<T: std::str::FromStr>(
     }
 }
 
+/// Like [`parse_num`] but absence stays absent (`None`) instead of
+/// collapsing into a default. Used for the `#IMPLIED` timestamp
+/// attributes (`REPORTED`, `LOCALTIME`), where a default of 0 would
+/// read as epoch 1970 — ~56 years of data age. Malformed values are
+/// still hard errors.
 pub(crate) fn parse_opt_num<T: std::str::FromStr>(
     input: &str,
     scratch: &AttrScratch,
@@ -153,8 +145,7 @@ pub(crate) fn cluster_header(input: &str, scratch: &AttrScratch) -> Result<Clust
     })
 }
 
-/// Parse one `METRIC` start tag's attributes from the scratch. Twin of
-/// `codec::parse_metric`, checks in the same order.
+/// Parse one `METRIC` start tag's attributes from the scratch.
 pub(crate) fn parse_metric_scratch(input: &str, scratch: &AttrScratch) -> Result<MetricEntry> {
     let name = Atom::new(required(input, scratch, names::METRIC, attr::NAME)?);
     let ty_raw = required(input, scratch, names::METRIC, attr::TYPE)?;
@@ -189,8 +180,7 @@ pub(crate) fn parse_metric_scratch(input: &str, scratch: &AttrScratch) -> Result
     })
 }
 
-/// Parse one `METRICS` summary tag's attributes from the scratch. Twin
-/// of `codec::parse_metric_summary`.
+/// Parse one `METRICS` summary tag's attributes from the scratch.
 pub(crate) fn parse_metric_summary_scratch(
     input: &str,
     scratch: &AttrScratch,
@@ -268,24 +258,34 @@ pub(crate) fn parse_host_streaming(
     Ok(host)
 }
 
-/// Parse one `<HOST>...</HOST>` byte span through the streaming machine.
-/// This is the Ingester's span-miss path: full well-formedness checks
-/// apply, but the only allocations are the node's own.
+/// Parse one `<HOST>...</HOST>` byte span that starts at byte
+/// `span_start` of its document. This is the Ingester's span-miss path:
+/// full well-formedness checks apply, errors carry document offsets, and
+/// the only allocations are the node's own.
 pub(crate) fn parse_host_span_streaming(
     span: &str,
+    span_start: usize,
     scratch: &mut AttrScratch,
     metrics_hint: usize,
 ) -> Result<HostNode> {
     let mut parser = PullParser::new(span);
-    match parser.next_event_into(scratch)? {
-        Some(StreamEvent::Start {
+    let parsed = match parser.next_event_into(scratch) {
+        Ok(Some(StreamEvent::Start {
             name: names::HOST, ..
-        }) => parse_host_streaming(&mut parser, span, scratch, metrics_hint),
-        _ => Err(ParseError::UnexpectedTag {
+        })) => parse_host_streaming(&mut parser, span, scratch, metrics_hint),
+        Ok(_) => Err(ParseError::UnexpectedTag {
             parent: names::CLUSTER.into(),
             tag: "(host span)".into(),
         }),
-    }
+        Err(e) => Err(e.into()),
+    };
+    parsed.map_err(|e| match e {
+        ParseError::Xml(mut e) => {
+            e.offset += span_start;
+            ParseError::Xml(e)
+        }
+        other => other,
+    })
 }
 
 fn parse_grid_streaming(
@@ -403,11 +403,10 @@ fn parse_cluster_streaming(
     })
 }
 
-/// Parse a complete Ganglia XML report through the streaming machine,
-/// reusing `scratch` for every event. Produces exactly what
-/// [`crate::codec::parse_document`] produces — same document on success,
-/// same [`ParseError`] on failure.
-pub fn parse_document_streaming_with(input: &str, scratch: &mut AttrScratch) -> Result<GangliaDoc> {
+/// Parse a complete Ganglia XML report into the typed model.
+pub fn parse_document(input: &str) -> Result<GangliaDoc> {
+    let mut scratch = AttrScratch::new();
+    let scratch = &mut scratch;
     let mut parser = PullParser::new(input);
     // Skip prolog (declaration, DOCTYPE, comments) to the root element.
     let root_name = loop {
@@ -470,33 +469,32 @@ pub fn parse_document_streaming_with(input: &str, scratch: &mut AttrScratch) -> 
     Ok(doc)
 }
 
-/// [`parse_document_streaming_with`] with a throwaway scratch — the
-/// one-shot form used by tests and callers without a per-source scratch.
-pub fn parse_document_streaming(input: &str) -> Result<GangliaDoc> {
-    let mut scratch = AttrScratch::new();
-    parse_document_streaming_with(input, &mut scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{parse_document, write_document};
+    use crate::codec::write_document;
+    use crate::ingest::Ingester;
+    use ganglia_xml::error::XmlErrorKind;
+    use ganglia_xml::XmlError;
 
-    fn assert_same_outcome(input: &str) {
-        let eventful = parse_document(input);
-        let streaming = parse_document_streaming(input);
-        match (eventful, streaming) {
+    /// Parse `input` with [`parse_document`] and with a cold
+    /// [`Ingester`], require both to agree, and return the outcome.
+    fn parse_both(input: &str) -> Result<GangliaDoc> {
+        let direct = parse_document(input);
+        let ingested = Ingester::new().ingest(input).map(|i| i.doc);
+        match (&direct, &ingested) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a, b, "documents diverged on {input:?}");
-                assert_eq!(write_document(&a), write_document(&b));
+                assert_eq!(write_document(a), write_document(b));
             }
             (Err(a), Err(b)) => assert_eq!(a, b, "errors diverged on {input:?}"),
-            (a, b) => panic!("outcome diverged on {input:?}: eventful={a:?} streaming={b:?}"),
+            (a, b) => panic!("outcome diverged on {input:?}: parse={a:?} ingest={b:?}"),
         }
+        direct
     }
 
     #[test]
-    fn streaming_matches_eventful_on_representative_docs() {
+    fn representative_docs_parse_and_roundtrip() {
         for doc in [
             r#"<GANGLIA_XML VERSION="2.5.4" SOURCE="gmond"><CLUSTER NAME="c" LOCALTIME="9">
 <HOST NAME="n0" IP="10.0.0.1" REPORTED="7" TN="5" TMAX="20" DMAX="0">
@@ -512,38 +510,94 @@ mod tests {
             // Entity-escaped and numeric-char-ref attribute values.
             r#"<GANGLIA_XML><CLUSTER NAME="a &amp; b" OWNER="&#65;&#x42;"><HOST NAME="h &lt;1&gt;" IP="1.1.1.1"/></CLUSTER></GANGLIA_XML>"#,
         ] {
-            assert_same_outcome(doc);
+            let parsed = parse_both(doc).unwrap();
+            let rendered = write_document(&parsed);
+            assert_eq!(parse_document(&rendered).unwrap(), parsed);
         }
+        let doc = parse_both(
+            r#"<GANGLIA_XML><CLUSTER NAME="a &amp; b" OWNER="&#65;&#x42;"><HOST NAME="h &lt;1&gt;" IP="1.1.1.1"/></CLUSTER></GANGLIA_XML>"#,
+        )
+        .unwrap();
+        let GridItem::Cluster(c) = &doc.items[0] else {
+            panic!("expected cluster")
+        };
+        assert_eq!((c.name.as_str(), c.owner.as_str()), ("a & b", "AB"));
+        assert!(c.host("h <1>").is_some());
     }
 
     #[test]
-    fn streaming_matches_eventful_on_malformed_docs() {
-        for doc in [
-            "",
-            "   ",
-            "<HTML/>",
-            "<GANGLIA_XML><BOGUS/></GANGLIA_XML>",
-            r#"<GANGLIA_XML><CLUSTER><HOST NAME="x"/></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h"><METRIC NAME="m" VAL="x" TYPE="int32"/></HOST></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h" IP="1.1.1.1"/><HOSTS UP="1" DOWN="0"/></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c"><GRID NAME="g"/></CLUSTER></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c" LOCALTIME="yesterday"/></GANGLIA_XML>"#,
-            r#"<GANGLIA_XML><CLUSTER NAME="c&bad;"/></GANGLIA_XML>"#,
-            "<GANGLIA_XML><CLUSTER NAME=\"c\">",
-            "<GANGLIA_XML></GANGLIA_XML>junk",
-        ] {
-            assert_same_outcome(doc);
+    fn malformed_docs_fail_with_exact_errors() {
+        let xml = |offset, kind| ParseError::Xml(XmlError { offset, kind });
+        let cases = [
+            ("", xml(0, XmlErrorKind::NoRootElement)),
+            ("   ", xml(3, XmlErrorKind::NoRootElement)),
+            ("<HTML/>", ParseError::BadRoot("HTML".into())),
+            (
+                "<GANGLIA_XML><BOGUS/></GANGLIA_XML>",
+                ParseError::UnexpectedTag {
+                    parent: "GANGLIA_XML".into(),
+                    tag: "BOGUS".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER><HOST NAME="x"/></CLUSTER></GANGLIA_XML>"#,
+                ParseError::MissingAttr {
+                    element: "CLUSTER",
+                    attr: "NAME",
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h"><METRIC NAME="m" VAL="x" TYPE="int32"/></HOST></CLUSTER></GANGLIA_XML>"#,
+                ParseError::BadAttr {
+                    element: "METRIC",
+                    attr: "VAL".into(),
+                    value: "x".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><HOST NAME="h" IP="1.1.1.1"/><HOSTS UP="1" DOWN="0"/></CLUSTER></GANGLIA_XML>"#,
+                ParseError::MixedClusterBody("c".into()),
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c"><GRID NAME="g"/></CLUSTER></GANGLIA_XML>"#,
+                ParseError::UnexpectedTag {
+                    parent: "CLUSTER".into(),
+                    tag: "GRID".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c" LOCALTIME="yesterday"/></GANGLIA_XML>"#,
+                ParseError::BadAttr {
+                    element: "CLUSTER",
+                    attr: "LOCALTIME".into(),
+                    value: "yesterday".into(),
+                },
+            ),
+            (
+                r#"<GANGLIA_XML><CLUSTER NAME="c&bad;"/></GANGLIA_XML>"#,
+                xml(29, XmlErrorKind::BadEntity("bad".into())),
+            ),
+            (
+                "<GANGLIA_XML><CLUSTER NAME=\"c\">",
+                xml(31, XmlErrorKind::UnclosedElements(2)),
+            ),
+        ];
+        for (doc, expected) in cases {
+            assert_eq!(parse_both(doc).unwrap_err(), expected, "on {doc:?}");
         }
+        // The builder stops reading at the root's close tag, so content
+        // after it is never tokenized.
+        assert!(parse_both("<GANGLIA_XML></GANGLIA_XML>junk").is_ok());
     }
 
     #[test]
-    fn host_span_streaming_matches_eventful_span_parse() {
+    fn host_span_parses_like_a_document_host() {
         let span = r#"<HOST NAME="n0" IP="10.0.0.1" REPORTED="7" TN="5" TMAX="20" DMAX="0" LOCATION="r1,u2" STARTED="3">
 <METRIC NAME="load_one" VAL="0.89" TYPE="float" SLOPE="both"/>
 <EXTRA_DATA><EXTRA_ELEMENT NAME="x"/></EXTRA_DATA>
 </HOST>"#;
         let mut scratch = AttrScratch::new();
-        let node = parse_host_span_streaming(span, &mut scratch, 4).unwrap();
+        let node = parse_host_span_streaming(span, 0, &mut scratch, 4).unwrap();
         assert_eq!(node.name.as_str(), "n0");
         assert_eq!(node.ip, "10.0.0.1");
         assert_eq!(node.reported, Some(7));
@@ -551,11 +605,11 @@ mod tests {
         assert_eq!(node.gmond_started, 3);
         assert_eq!(node.metrics.len(), 1);
         assert_eq!(node.metrics[0].name.as_str(), "load_one");
-        // Non-HOST spans are rejected the same way the eventful span
-        // parser rejects them.
+        // Non-HOST spans are rejected.
         assert!(matches!(
             parse_host_span_streaming(
                 "<METRIC NAME=\"x\" VAL=\"1\" TYPE=\"int32\"/>",
+                0,
                 &mut scratch,
                 0
             ),

@@ -1,33 +1,50 @@
-//! Adversarial property tests for the streaming no-DOM parser: on
-//! every input — well-formed, entity-laden, attribute-mangled,
-//! truncated, or garbage — `parse_document_streaming` must be
-//! indistinguishable from the eventful `parse_document`: the same
-//! document (and byte-identical render) on success, the identical
-//! error on failure, and never a panic. The delta ingester leans on
-//! this equivalence to swap parsers mid-flight, so it is gated here
-//! rather than assumed.
+//! Adversarial property tests for the document builder: on every
+//! input — well-formed, entity-laden, attribute-mangled, truncated, or
+//! garbage — `parse_document` must be indistinguishable from the
+//! delta-aware `Ingester`, a separately written walker over the same
+//! tokenizer: the same document (and byte-identical render) on
+//! success, the identical error on failure, and never a panic. The
+//! gmetad ingests through the `Ingester` while every other reader calls
+//! `parse_document`, so the two must never disagree about a report.
+//!
+//! Each input is checked against a cold `Ingester` and against warm
+//! ones primed with related documents, so the fingerprint-reuse and
+//! raw-skip paths run on adversarial input too.
 
-use ganglia_metrics::{parse_document, parse_document_streaming, write_document};
+use ganglia_metrics::{parse_document, write_document, Ingester};
 use proptest::prelude::*;
 
 /// The invariant under test. Panics (caught and shrunk by proptest)
-/// when the two parsers diverge in any observable way.
-fn assert_parsers_agree(input: &str) {
-    let eventful = parse_document(input);
-    let streaming = parse_document_streaming(input);
-    match (eventful, streaming) {
-        (Ok(e), Ok(s)) => {
-            assert_eq!(e, s, "parsed models diverge");
-            assert_eq!(
-                write_document(&e),
-                write_document(&s),
-                "renders diverge despite equal models"
-            );
+/// when the builder and an ingester diverge in any observable way.
+/// `primers` are documents a warm ingester sees first; each primes a
+/// fresh ingester twice (the second time with a changed root attribute,
+/// so the report misses the whole-document cache while every host span
+/// hits) — which leaves its clusters in skip mode, raw-skipping and
+/// fingerprinting host spans before parsing any.
+fn assert_parsers_agree(input: &str, primers: &[&str]) {
+    let expected = parse_document(input);
+    let mut ingesters = vec![("cold", Ingester::new())];
+    for primer in primers {
+        let mut warm = Ingester::new();
+        let _ = warm.ingest(primer);
+        let _ = warm.ingest(&primer.replacen("VERSION=\"2.5.4\"", "VERSION=\"2.5.5\"", 1));
+        ingesters.push(("warm", warm));
+    }
+    for (label, mut ingester) in ingesters {
+        match (&expected, ingester.ingest(input).map(|i| i.doc)) {
+            (Ok(e), Ok(i)) => {
+                assert_eq!(e, &i, "{label} ingester's model diverges");
+                assert_eq!(
+                    write_document(e),
+                    write_document(&i),
+                    "renders diverge despite equal models"
+                );
+            }
+            (Err(e), Err(i)) => assert_eq!(e, &i, "{label} ingester's error diverges on {input:?}"),
+            (e, i) => panic!(
+                "one parser succeeded where the other failed:\n parse_document: {e:?}\n {label} ingester: {i:?}\n input: {input:?}"
+            ),
         }
-        (Err(e), Err(s)) => assert_eq!(e, s, "errors diverge on {input:?}"),
-        (e, s) => panic!(
-            "one parser succeeded where the other failed:\n eventful: {e:?}\n streaming: {s:?}\n input: {input:?}"
-        ),
     }
 }
 
@@ -103,8 +120,7 @@ fn metric_xml() -> impl Strategy<Value = String> {
 }
 
 /// One `<HOST>...</HOST>` with adversarial metrics; occasionally the
-/// host itself loses its REPORTED stamp (optional attr) or IP
-/// (required — must error identically in both parsers).
+/// host itself loses its REPORTED stamp or IP (both optional).
 fn host_xml() -> impl Strategy<Value = String> {
     (
         "[a-z][a-z0-9]{0,6}",
@@ -160,46 +176,65 @@ proptest! {
 
     /// Well-formed and attribute-mangled documents: entity-escaped and
     /// numeric-char-ref values, missing required attributes, duplicate
-    /// attributes — both parsers land on the same document or the same
-    /// error.
+    /// attributes — every path lands on the same document or the same
+    /// error, whether the ingester has seen this report before or an
+    /// unrelated one.
     #[test]
-    fn adversarial_documents_agree(doc in doc_xml()) {
-        assert_parsers_agree(&doc);
+    fn adversarial_documents_agree(doc in doc_xml(), other in doc_xml()) {
+        assert_parsers_agree(&doc, &[&doc, &other]);
     }
 
     /// Every truncation point of a valid document: mid-tag, mid-entity,
-    /// mid-attribute-value. Both parsers must fail (or, for a cut at
-    /// the very end, succeed) identically.
+    /// mid-attribute-value. All paths must fail (or, for a cut at the
+    /// very end, succeed) identically — including an ingester that has
+    /// the full document's host spans cached.
     #[test]
     fn truncated_documents_agree(doc in doc_xml(), cut in 0usize..4096) {
         let cut = cut % (doc.len() + 1);
         let cut = (0..=cut).rev().find(|&i| doc.is_char_boundary(i)).unwrap_or(0);
-        assert_parsers_agree(&doc[..cut]);
+        assert_parsers_agree(&doc[..cut], &[&doc]);
+    }
+
+    /// Partial churn: one host's bytes change since the round a warm
+    /// ingester cached, the rest are reused — the merged document must
+    /// still be exactly what a fresh parse builds.
+    #[test]
+    fn churned_documents_agree(doc in doc_xml()) {
+        assert_parsers_agree(&doc.replacen("TN=\"2\"", "TN=\"3\"", 1), &[&doc]);
     }
 
     /// Garbage appended after the closing root tag — trailing junk must
-    /// be rejected (or tolerated) the same way by both parsers.
+    /// be rejected (or tolerated) the same way on every path.
     #[test]
     fn garbage_tails_agree(doc in doc_xml(), tail in "[ -~]{0,24}") {
-        assert_parsers_agree(&format!("{doc}{tail}"));
+        assert_parsers_agree(&format!("{doc}{tail}"), &[&doc]);
     }
 
-    /// Raw printable-ASCII noise, heavy on XML metacharacters: neither
-    /// parser may panic, and their verdicts must match byte for byte.
+    /// Raw printable-ASCII noise, heavy on XML metacharacters: no path
+    /// may panic, and their verdicts must match byte for byte.
     #[test]
-    fn arbitrary_noise_agrees(junk in r#"[ -~]{0,64}"#) {
-        assert_parsers_agree(&junk);
+    fn arbitrary_noise_agrees(junk in r#"[ -~]{0,64}"#, other in doc_xml()) {
+        assert_parsers_agree(&junk, &[&other]);
     }
 
     /// Entity-rewrite equivalence: take a valid document, force the
     /// escape-decoding slow path everywhere by rewriting `e` as a
-    /// numeric reference, and check the streaming parser tracks the
-    /// eventful one through the owned-decode path too.
+    /// numeric reference, and check every path agrees through the
+    /// arena-decode path too — for a warm ingester, every cached host
+    /// span now misses and is re-parsed.
     #[test]
     fn numeric_ref_rewrite_agrees(doc in doc_xml()) {
-        assert_parsers_agree(&doc.replace('e', "&#101;"));
+        assert_parsers_agree(&doc.replace('e', "&#101;"), &[&doc]);
     }
 }
+
+/// A valid report whose cluster and host share names with the
+/// deterministic cases below, so a warm ingester has their spans cached.
+const PRIMER: &str =
+    "<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"g\"><CLUSTER NAME=\"c\" LOCALTIME=\"1\">\
+     <HOST NAME=\"h\" IP=\"1.1.1.1\" REPORTED=\"1\" TN=\"1\" TMAX=\"20\" DMAX=\"0\"></HOST>\
+     <HOST NAME=\"a\" IP=\"1.1.1.2\" REPORTED=\"1\" TN=\"1\" TMAX=\"20\" DMAX=\"0\"></HOST>\
+     </CLUSTER></GANGLIA_XML>";
 
 /// Deterministic corner cases worth pinning outside the generator's
 /// reach: bad numeric references, unknown entities, and cuts inside an
@@ -229,8 +264,16 @@ fn known_adversarial_inputs_agree() {
         "<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"g\"><CLUSTER NAME=\"c\" LOCALTIME=\"1\">\
          <HOST NAME=\"h\" IP=\"1.1.1.1\" REPORTED=\"1\" TN=\"1\" TMAX=\"20\" DMAX=\"0\"></HOST>\
          <HOSTS UP=\"1\" DOWN=\"0\" SOURCE=\"gmetad\"/></CLUSTER></GANGLIA_XML>",
+        // A cached host span followed by a truncated one, and a cached
+        // span closed by a mismatched tag.
+        "<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"g\"><CLUSTER NAME=\"c\" LOCALTIME=\"1\">\
+         <HOST NAME=\"h\" IP=\"1.1.1.1\" REPORTED=\"1\" TN=\"1\" TMAX=\"20\" DMAX=\"0\"></HOST>\
+         <HOST NAME=\"a\" IP=\"1.1.1.2\" REPORTED=\"1\" TN=\"1\"",
+        "<GANGLIA_XML VERSION=\"2.5.4\" SOURCE=\"g\"><CLUSTER NAME=\"c\" LOCALTIME=\"1\">\
+         <HOST NAME=\"h\" IP=\"1.1.1.1\" REPORTED=\"1\" TN=\"1\" TMAX=\"20\" DMAX=\"0\"></HOSTX>\
+         </CLUSTER></GANGLIA_XML>",
     ];
     for case in CASES {
-        assert_parsers_agree(case);
+        assert_parsers_agree(case, &[PRIMER]);
     }
 }

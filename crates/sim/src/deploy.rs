@@ -267,7 +267,7 @@ impl Deployment {
     }
 
     /// Telemetry snapshot of every monitor, rows in breadth-first tree
-    /// order (matching [`cpu_report`]).
+    /// order (matching [`Self::cpu_report`]).
     pub fn telemetry_report(&self) -> Vec<(String, ganglia_core::telemetry::Snapshot)> {
         self.tree
             .breadth_first()

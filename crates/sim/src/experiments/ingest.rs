@@ -173,8 +173,9 @@ pub fn churn_corpus(params: &IngestParams, churn: f64, seed: u64) -> Vec<String>
 }
 
 /// Rebuild-every-round pass: what the poller did before the delta path
-/// — parse the full document and recompute the cluster summary. Returns
-/// a checksum so the optimizer cannot elide the work.
+/// — parse the full document through the single parser
+/// (`parse_document`) and recompute the cluster summary. Returns a
+/// checksum so the optimizer cannot elide the work.
 pub fn baseline_pass(corpus: &[String]) -> u64 {
     let mut check = 0u64;
     for xml in corpus {

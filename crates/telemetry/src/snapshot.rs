@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use ganglia_xml::{Event, PullParser, XmlWriter};
+use ganglia_xml::{AttrScratch, PullParser, StreamEvent, XmlWriter};
 
 use crate::histogram::HistogramSnapshot;
 
@@ -115,25 +115,20 @@ impl Snapshot {
     /// Returns the snapshot and the `SOURCE` attribute.
     pub fn parse_xml(input: &str) -> Result<(Snapshot, String), TelemetryError> {
         let mut parser = PullParser::new(input);
+        let mut scratch = AttrScratch::new();
         let mut snapshot = Snapshot::default();
         let mut source = String::new();
         let mut saw_root = false;
         while let Some(event) = parser
-            .next_event()
+            .next_event_into(&mut scratch)
             .map_err(|e| TelemetryError::Xml(e.to_string()))?
         {
             match event {
-                Event::Start {
-                    name, attributes, ..
-                } => {
+                StreamEvent::Start { name, .. } => {
                     let attr = |key: &str| {
-                        attributes
-                            .iter()
-                            .find(|a| a.name == key)
-                            .map(|a| a.value.to_string())
-                            .ok_or_else(|| {
-                                TelemetryError::Structure(format!("<{name}> missing {key}"))
-                            })
+                        scratch.get(input, key).map(str::to_string).ok_or_else(|| {
+                            TelemetryError::Structure(format!("<{name}> missing {key}"))
+                        })
                     };
                     let num = |key: &str| -> Result<u64, TelemetryError> {
                         attr(key)?.parse().map_err(|_| {
@@ -172,11 +167,11 @@ impl Snapshot {
                         }
                     }
                 }
-                Event::End { .. } | Event::Decl(_) | Event::Comment(_) => {}
-                Event::Text(text) => {
+                StreamEvent::End { .. } | StreamEvent::Decl(_) | StreamEvent::Comment(_) => {}
+                StreamEvent::Text => {
                     return Err(TelemetryError::Structure(format!(
                         "unexpected character data {:?}",
-                        text.trim()
+                        scratch.text(input).unwrap_or_default().trim()
                     )))
                 }
             }
@@ -413,5 +408,58 @@ mod tests {
         // Right-aligned under the VALUE header: the number ends the line.
         assert!(value_line.trim_end().ends_with("29"));
         assert!(table.contains("P99"));
+    }
+
+    #[test]
+    fn parse_errors_name_the_fault() {
+        let structure = |s: &str| Err(TelemetryError::Structure(s.to_string()));
+        let cases = [
+            (
+                "<GANGLIA_XML VERSION=\"1\" SOURCE=\"x\"/>",
+                structure("unexpected element <GANGLIA_XML>"),
+            ),
+            (
+                "not xml at all",
+                Err(TelemetryError::Xml(
+                    "xml parse error at byte 14: content after document root".into(),
+                )),
+            ),
+            (
+                "<TELEMETRY SOURCE=\"s\"><COUNTER NAME=\"c\"/></TELEMETRY>",
+                structure("<COUNTER> missing VAL"),
+            ),
+            (
+                "<TELEMETRY SOURCE=\"s\"><GAUGE NAME=\"g\" VAL=\"x\"/></TELEMETRY>",
+                structure("<GAUGE> VAL is not a number"),
+            ),
+            (
+                "<TELEMETRY SOURCE=\"s\"> a &amp; b </TELEMETRY>",
+                structure("unexpected character data \"a & b\""),
+            ),
+            (
+                "<TELEMETRY SOURCE=\"s\"><HISTOGRAM NAME=\"h\" COUNT=\"1\" SUM=\"1\" \
+                 MIN=\"1\" MAX=\"1\" BUCKETS=\"?\"/></TELEMETRY>",
+                structure("<HISTOGRAM> BUCKETS is malformed"),
+            ),
+            ("<TELEMETRY/>", structure("<TELEMETRY> missing SOURCE")),
+            (
+                "<TELEMETRY SOURCE=\"s\"><COUNTER NAME=\"c\" VAL=\"1\">",
+                Err(TelemetryError::Xml(
+                    "xml parse error at byte 48: 2 element(s) left unclosed".into(),
+                )),
+            ),
+        ];
+        for (input, expected) in cases {
+            assert_eq!(Snapshot::parse_xml(input), expected, "on {input:?}");
+        }
+        // Comments and declarations are ignored; entity-escaped
+        // attribute values are expanded.
+        let (snap, source) = Snapshot::parse_xml(
+            "<?xml version=\"1.0\"?><!-- c --><TELEMETRY SOURCE=\"a&amp;b\">\
+             <COUNTER NAME=\"x&lt;y\" VAL=\"3\"/></TELEMETRY>",
+        )
+        .unwrap();
+        assert_eq!(source, "a&b");
+        assert_eq!(snap.counter("x<y"), Some(3));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::error::XmlResult;
 use crate::names::{self, attr};
-use crate::pull::{Event, PullParser};
+use crate::pull::{AttrScratch, PullParser, StreamEvent};
 
 /// The document type definition, as served by gmond/gmetad.
 pub const GANGLIA_DTD: &str = r#"<!DOCTYPE GANGLIA_XML [
@@ -133,12 +133,11 @@ pub fn validate(input: &str) -> Vec<DtdViolation> {
 
 fn validate_inner(input: &str, violations: &mut Vec<DtdViolation>) -> XmlResult<()> {
     let mut parser = PullParser::new(input);
-    let mut stack: Vec<String> = Vec::new();
-    while let Some(event) = parser.next_event()? {
+    let mut scratch = AttrScratch::new();
+    let mut stack: Vec<&str> = Vec::new();
+    while let Some(event) = parser.next_event_into(&mut scratch)? {
         match event {
-            Event::Start {
-                name, attributes, ..
-            } => {
+            StreamEvent::Start { name, .. } => {
                 if allowed_children(name).is_none() {
                     violations.push(DtdViolation::UnknownElement(name.to_string()));
                 } else {
@@ -152,14 +151,14 @@ fn validate_inner(input: &str, violations: &mut Vec<DtdViolation>) -> XmlResult<
                             let allowed = allowed_children(parent).unwrap_or(&[]);
                             if !allowed.contains(&name) {
                                 violations.push(DtdViolation::BadNesting {
-                                    parent: parent.clone(),
+                                    parent: parent.to_string(),
                                     child: name.to_string(),
                                 });
                             }
                         }
                     }
                     for required in required_attributes(name) {
-                        if !attributes.iter().any(|a| a.name == *required) {
+                        if scratch.get(input, required).is_none() {
                             violations.push(DtdViolation::MissingAttribute {
                                 element: name.to_string(),
                                 attribute: (*required).to_string(),
@@ -167,9 +166,9 @@ fn validate_inner(input: &str, violations: &mut Vec<DtdViolation>) -> XmlResult<
                         }
                     }
                 }
-                stack.push(name.to_string());
+                stack.push(name);
             }
-            Event::End { .. } => {
+            StreamEvent::End { .. } => {
                 stack.pop();
             }
             _ => {}

@@ -2,8 +2,9 @@
 //!
 //! Both directions are written to avoid allocation in the common case:
 //! Ganglia metric names and values are almost always plain ASCII with no
-//! reserved characters, so `escape`/`unescape` return `Cow::Borrowed`
-//! unless a substitution is actually required.
+//! reserved characters, so `escape` returns `Cow::Borrowed` unless a
+//! substitution is actually required, and `unescape_into` appends into a
+//! caller-owned buffer that is reused across values.
 
 use std::borrow::Cow;
 
@@ -57,28 +58,16 @@ pub fn write_escaped<W: std::fmt::Write>(sink: &mut W, raw: &str) -> std::fmt::R
     sink.write_str(rest)
 }
 
-/// Expand entity and numeric character references in `raw`.
+/// Expand entity and numeric character references in `raw`, appending the
+/// result to `out`.
 ///
 /// Supports the five predefined entities (`amp`, `lt`, `gt`, `quot`,
 /// `apos`) and decimal/hex character references (`&#NN;`, `&#xNN;`).
 /// `offset` is the position of `raw` in the original document, used to
-/// report errors against the full input.
-pub fn unescape(raw: &str, offset: usize) -> XmlResult<Cow<'_, str>> {
-    if !raw.contains('&') {
-        return Ok(Cow::Borrowed(raw));
-    }
-    let mut out = String::with_capacity(raw.len());
-    unescape_into(raw, offset, &mut out)?;
-    Ok(Cow::Owned(out))
-}
-
-/// Expand entity and numeric character references in `raw`, appending the
-/// result to `out` instead of allocating a fresh string.
-///
-/// This is the scratch-buffer form of [`unescape`] used by the streaming
-/// no-DOM ingest path: the caller owns `out` and reuses its allocation
-/// across events, so a steady stream of escaped attribute values costs no
-/// per-event allocation once the scratch has grown to its working size.
+/// report errors against the full input. The caller owns `out` and
+/// reuses its allocation across values, so a steady stream of escaped
+/// attribute values costs no per-value allocation once the buffer has
+/// grown to its working size.
 pub fn unescape_into(raw: &str, offset: usize, out: &mut String) -> XmlResult<()> {
     let mut rest = raw;
     let mut pos = 0usize;
@@ -131,10 +120,23 @@ fn expand_entity(entity: &str) -> Option<char> {
 mod tests {
     use super::*;
 
+    fn unescape(raw: &str, offset: usize) -> XmlResult<String> {
+        let mut out = String::new();
+        unescape_into(raw, offset, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
-    fn plain_text_is_borrowed_both_ways() {
+    fn plain_text_passes_through() {
         assert!(matches!(escape("cpu_num"), Cow::Borrowed(_)));
-        assert!(matches!(unescape("cpu_num", 0).unwrap(), Cow::Borrowed(_)));
+        assert_eq!(unescape("cpu_num", 0).unwrap(), "cpu_num");
+    }
+
+    #[test]
+    fn unescape_into_appends() {
+        let mut out = String::from("x=");
+        unescape_into("a&amp;b", 0, &mut out).unwrap();
+        assert_eq!(out, "x=a&b");
     }
 
     #[test]
@@ -149,13 +151,13 @@ mod tests {
     fn unescape_expands_predefined_entities() {
         assert_eq!(
             unescape("a&lt;b&gt;&amp;&quot;c&apos;", 0).unwrap(),
-            r#"a<b>&"c'"#.to_string()
+            r#"a<b>&"c'"#
         );
     }
 
     #[test]
     fn unescape_numeric_references() {
-        assert_eq!(unescape("&#65;&#x42;&#x63;", 0).unwrap(), "ABc".to_string());
+        assert_eq!(unescape("&#65;&#x42;&#x63;", 0).unwrap(), "ABc");
     }
 
     #[test]

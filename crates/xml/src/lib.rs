@@ -6,12 +6,12 @@
 //!
 //! * a zero-copy, SAX-style [`pull::PullParser`] — the hot path of the
 //!   wide-area monitor is parsing child reports, so the parser borrows from
-//!   the input buffer and allocates only when an escape sequence forces it;
-//! * a small [`dom`] layer for callers (like the web viewer) that want a
-//!   materialized tree;
+//!   the input buffer and records attribute values as spans in a reusable
+//!   [`pull::AttrScratch`]. It is the only way the workspace reads XML:
+//!   there is no DOM, by design (paper §3.3.1);
 //! * a streaming [`writer::XmlWriter`] used by every component that emits
 //!   reports;
-//! * [`escape`]/unescape helpers shared by all of the above;
+//! * [`escape`]/unescape helpers shared by both;
 //! * the tag and attribute names of the Ganglia DTD ([`names`]), including
 //!   the `GRID` extension introduced by the paper (§3.2) and the summary
 //!   tags `HOSTS` and `METRICS`.
@@ -22,7 +22,6 @@
 //! character references. DOCTYPE internal subsets and CDATA sections are
 //! accepted and skipped.
 
-pub mod dom;
 pub mod dtd;
 pub mod error;
 pub mod escape;
@@ -30,7 +29,6 @@ pub mod names;
 pub mod pull;
 pub mod writer;
 
-pub use dom::Element;
 pub use error::{XmlError, XmlResult};
-pub use pull::{AttrScratch, Attribute, Event, PullParser, StreamEvent};
+pub use pull::{AttrScratch, PullParser, StreamEvent};
 pub use writer::XmlWriter;

@@ -1,59 +1,19 @@
 //! A zero-copy, SAX-style pull parser.
 //!
 //! Parsing child reports is the single hottest operation in a wide-area
-//! monitor (paper §3.3.1), so this parser is written to borrow everything
-//! it can from the input buffer: element and attribute names are always
-//! `&str` slices of the input, and attribute values / character data are
-//! `Cow::Borrowed` unless an entity reference forces expansion.
+//! monitor (paper §3.3.1), so this parser borrows everything it can from
+//! the input buffer: element names are `&str` slices of the input, and
+//! attribute values and character data are recorded as spans in a
+//! caller-owned [`AttrScratch`] — spans of the input itself unless an
+//! entity reference forces expansion into the scratch's arena. A steady
+//! event stream therefore performs no per-event allocation.
 //!
 //! The parser checks well-formedness as it goes (balanced tags, single
 //! root, no duplicate attributes) so downstream code can trust the event
 //! stream.
 
-use std::borrow::Cow;
-
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::escape::{unescape, unescape_into};
-
-/// One attribute on a start tag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attribute<'a> {
-    /// Attribute name, borrowed from the input.
-    pub name: &'a str,
-    /// Attribute value with entities expanded.
-    pub value: Cow<'a, str>,
-}
-
-/// A parse event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event<'a> {
-    /// `<NAME ...>` or `<NAME ... />`. An empty element (`/>`) sets
-    /// `empty` and is still followed by a matching [`Event::End`], so
-    /// consumers never need to special-case it.
-    Start {
-        name: &'a str,
-        attributes: Vec<Attribute<'a>>,
-        empty: bool,
-    },
-    /// `</NAME>` (or the synthesized end of an empty element).
-    End { name: &'a str },
-    /// Non-whitespace character data, entities expanded.
-    Text(Cow<'a, str>),
-    /// `<!-- ... -->`, body only.
-    Comment(&'a str),
-    /// `<?...?>` or `<!DOCTYPE ...>`, body only. Not interpreted.
-    Decl(&'a str),
-}
-
-impl Event<'_> {
-    /// The tag name if this is a start event.
-    pub fn start_name(&self) -> Option<&str> {
-        match self {
-            Event::Start { name, .. } => Some(name),
-            _ => None,
-        }
-    }
-}
+use crate::escape::unescape_into;
 
 /// Where an attribute value (or text run) lives: either a span of the
 /// original input (the no-entity fast path) or a span of the scratch
@@ -73,15 +33,12 @@ struct RawAttr {
     value: ValueSpan,
 }
 
-/// Reusable per-source scratch for the borrowing event API
-/// ([`PullParser::next_event_into`]).
+/// Reusable per-source scratch for [`PullParser::next_event_into`].
 ///
-/// The eventful [`Event::Start`] allocates a `Vec<Attribute>` per start
-/// tag and an owned `String` per entity-escaped value. `AttrScratch`
-/// instead records attribute name/value *spans* and expands entities
-/// into one arena `String`, both reused across events — so a steady
-/// event stream performs no per-event allocation once the scratch has
-/// grown to its working size.
+/// Records attribute name/value *spans* and expands entities into one
+/// arena `String`, both reused across events — so a steady event stream
+/// performs no per-event allocation once the scratch has grown to its
+/// working size.
 ///
 /// Ownership rule: the scratch is cleared at the top of every
 /// `next_event_into` call, so spans handed out for one event are only
@@ -135,9 +92,14 @@ impl AttrScratch {
 
     /// Look an attribute up by name.
     pub fn get<'s>(&'s self, input: &'s str, name: &str) -> Option<&'s str> {
-        (0..self.attrs.len())
-            .find(|&i| self.name(input, i) == name)
-            .map(|i| self.value(input, i))
+        // Names compare as bytes: slicing a `str` would re-check UTF-8
+        // boundaries on every probe, and lookups are the builder's
+        // hottest loop.
+        let bytes = input.as_bytes();
+        self.attrs
+            .iter()
+            .find(|a| &bytes[a.name_start..a.name_end] == name.as_bytes())
+            .map(|a| self.resolve(input, a.value))
     }
 
     /// Character data of the current [`StreamEvent::Text`] event,
@@ -147,12 +109,14 @@ impl AttrScratch {
     }
 }
 
-/// A parse event from the borrowing API. Attribute values and text live
-/// in the caller's [`AttrScratch`]; only input-borrowed names ride on
-/// the event itself.
+/// A parse event. Attribute values and text live in the caller's
+/// [`AttrScratch`]; only input-borrowed names ride on the event itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamEvent<'a> {
-    /// `<NAME ...>` or `<NAME ... />`; attributes are in the scratch.
+    /// `<NAME ...>` or `<NAME ... />`; attributes are in the scratch. An
+    /// empty element (`/>`) sets `empty` and is still followed by a
+    /// matching [`StreamEvent::End`], so consumers never need to
+    /// special-case it.
     Start { name: &'a str, empty: bool },
     /// `</NAME>` (or the synthesized end of an empty element).
     End { name: &'a str },
@@ -165,7 +129,7 @@ pub enum StreamEvent<'a> {
 }
 
 /// The pull parser. Create with [`PullParser::new`], then call
-/// [`PullParser::next_event`] until it returns `Ok(None)`.
+/// [`PullParser::next_event_into`] until it returns `Ok(None)`.
 #[derive(Debug, Clone)]
 pub struct PullParser<'a> {
     input: &'a str,
@@ -225,75 +189,17 @@ impl<'a> PullParser<'a> {
         Err(XmlError::new(self.pos, kind))
     }
 
-    /// Produce the next event, or `Ok(None)` at a well-formed end of
-    /// document.
-    pub fn next_event(&mut self) -> XmlResult<Option<Event<'a>>> {
-        if let Some(name) = self.pending_end.take() {
-            self.stack.pop();
-            if self.stack.is_empty() {
-                self.saw_root_close = true;
-            }
-            return Ok(Some(Event::End { name }));
-        }
-        loop {
-            if self.pos >= self.input.len() {
-                if !self.stack.is_empty() {
-                    return self.err(XmlErrorKind::UnclosedElements(self.stack.len()));
-                }
-                if !self.saw_root_open {
-                    return self.err(XmlErrorKind::NoRootElement);
-                }
-                return Ok(None);
-            }
-            if self.bytes()[self.pos] == b'<' {
-                self.event_start = self.pos;
-                return self.parse_markup().map(Some);
-            }
-            // Character data up to the next '<'.
-            let start = self.pos;
-            self.event_start = start;
-            let end = self.input[start..]
-                .find('<')
-                .map(|i| start + i)
-                .unwrap_or(self.input.len());
-            self.pos = end;
-            let raw = &self.input[start..end];
-            if raw.bytes().all(|b| b.is_ascii_whitespace()) {
-                continue; // inter-tag whitespace carries no information
-            }
-            if self.stack.is_empty() {
-                return self.err(XmlErrorKind::TrailingContent);
-            }
-            let text = unescape(raw, start)?;
-            return Ok(Some(Event::Text(text)));
-        }
-    }
-
-    fn parse_markup(&mut self) -> XmlResult<Event<'a>> {
-        debug_assert_eq!(self.bytes()[self.pos], b'<');
-        let after_lt = self.pos + 1;
-        if after_lt >= self.input.len() {
-            return self.err(XmlErrorKind::UnexpectedEof("markup"));
-        }
-        match self.bytes()[after_lt] {
-            b'?' => self.parse_pi(),
-            b'!' => self.parse_bang(),
-            b'/' => self.parse_close_tag(),
-            _ => self.parse_open_tag(),
-        }
-    }
-
-    fn parse_pi(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_pi(&mut self) -> XmlResult<StreamEvent<'a>> {
         let body_start = self.pos + 2;
         let Some(end) = self.input[body_start..].find("?>") else {
             return self.err(XmlErrorKind::UnexpectedEof("processing instruction"));
         };
         let body = &self.input[body_start..body_start + end];
         self.pos = body_start + end + 2;
-        Ok(Event::Decl(body))
+        Ok(StreamEvent::Decl(body))
     }
 
-    fn parse_bang(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_bang(&mut self, scratch: &mut AttrScratch) -> XmlResult<StreamEvent<'a>> {
         let rest = &self.input[self.pos..];
         if let Some(body) = rest.strip_prefix("<!--") {
             let Some(end) = body.find("-->") else {
@@ -301,19 +207,23 @@ impl<'a> PullParser<'a> {
             };
             let comment = &self.input[self.pos + 4..self.pos + 4 + end];
             self.pos += 4 + end + 3;
-            return Ok(Event::Comment(comment));
+            return Ok(StreamEvent::Comment(comment));
         }
         if rest.starts_with("<![CDATA[") {
             let body_start = self.pos + 9;
             let Some(end) = self.input[body_start..].find("]]>") else {
                 return self.err(XmlErrorKind::UnexpectedEof("CDATA section"));
             };
-            let text = &self.input[body_start..body_start + end];
             self.pos = body_start + end + 3;
             if self.stack.is_empty() {
                 return self.err(XmlErrorKind::TrailingContent);
             }
-            return Ok(Event::Text(Cow::Borrowed(text)));
+            // CDATA: raw text, never entity-expanded.
+            scratch.text = Some(ValueSpan::Input {
+                start: body_start,
+                end: body_start + end,
+            });
+            return Ok(StreamEvent::Text);
         }
         // <!DOCTYPE ...> — may contain an internal subset in brackets.
         let body_start = self.pos + 2;
@@ -325,7 +235,7 @@ impl<'a> PullParser<'a> {
                 b'>' if depth == 0 => {
                     let body = &self.input[body_start..body_start + i];
                     self.pos = body_start + i + 1;
-                    return Ok(Event::Decl(body));
+                    return Ok(StreamEvent::Decl(body));
                 }
                 _ => {}
             }
@@ -333,7 +243,7 @@ impl<'a> PullParser<'a> {
         self.err(XmlErrorKind::UnexpectedEof("declaration"))
     }
 
-    fn parse_close_tag(&mut self) -> XmlResult<Event<'a>> {
+    fn parse_close_tag(&mut self) -> XmlResult<StreamEvent<'a>> {
         let name_start = self.pos + 2;
         self.pos = name_start;
         let name = self.take_name()?;
@@ -350,7 +260,7 @@ impl<'a> PullParser<'a> {
                 if self.stack.is_empty() {
                     self.saw_root_close = true;
                 }
-                Ok(Event::End { name })
+                Ok(StreamEvent::End { name })
             }
             Some(open) => Err(XmlError::new(
                 name_start,
@@ -364,87 +274,6 @@ impl<'a> PullParser<'a> {
                 XmlErrorKind::UnmatchedClose(name.to_string()),
             )),
         }
-    }
-
-    fn parse_open_tag(&mut self) -> XmlResult<Event<'a>> {
-        if self.saw_root_close && self.stack.is_empty() {
-            return self.err(XmlErrorKind::TrailingContent);
-        }
-        self.pos += 1; // consume '<'
-        let name = self.take_name()?;
-        let mut attributes = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek_byte() {
-                Some(b'>') => {
-                    self.pos += 1;
-                    self.stack.push(name);
-                    self.saw_root_open = true;
-                    return Ok(Event::Start {
-                        name,
-                        attributes,
-                        empty: false,
-                    });
-                }
-                Some(b'/') => {
-                    self.pos += 1;
-                    if self.peek_byte() != Some(b'>') {
-                        return self.err(XmlErrorKind::UnexpectedChar {
-                            expected: "'>' after '/'",
-                            found: self.peek_char(),
-                        });
-                    }
-                    self.pos += 1;
-                    self.stack.push(name);
-                    self.saw_root_open = true;
-                    self.pending_end = Some(name);
-                    return Ok(Event::Start {
-                        name,
-                        attributes,
-                        empty: true,
-                    });
-                }
-                Some(_) => {
-                    let attr = self.take_attribute()?;
-                    if attributes.iter().any(|a: &Attribute| a.name == attr.name) {
-                        return self.err(XmlErrorKind::DuplicateAttribute(attr.name.to_string()));
-                    }
-                    attributes.push(attr);
-                }
-                None => return self.err(XmlErrorKind::UnexpectedEof("start tag")),
-            }
-        }
-    }
-
-    fn take_attribute(&mut self) -> XmlResult<Attribute<'a>> {
-        let name = self.take_name()?;
-        self.skip_ws();
-        if self.peek_byte() != Some(b'=') {
-            return self.err(XmlErrorKind::UnexpectedChar {
-                expected: "'=' in attribute",
-                found: self.peek_char(),
-            });
-        }
-        self.pos += 1;
-        self.skip_ws();
-        let quote = match self.peek_byte() {
-            Some(q @ (b'"' | b'\'')) => q,
-            _ => {
-                return self.err(XmlErrorKind::UnexpectedChar {
-                    expected: "quoted attribute value",
-                    found: self.peek_char(),
-                })
-            }
-        };
-        self.pos += 1;
-        let value_start = self.pos;
-        let Some(end) = self.input[value_start..].find(quote as char) else {
-            return self.err(XmlErrorKind::UnexpectedEof("attribute value"));
-        };
-        let raw = &self.input[value_start..value_start + end];
-        self.pos = value_start + end + 1;
-        let value = unescape(raw, value_start)?;
-        Ok(Attribute { name, value })
     }
 
     fn take_name(&mut self) -> XmlResult<&'a str> {
@@ -476,34 +305,20 @@ impl<'a> PullParser<'a> {
         self.input[self.pos..].chars().next().unwrap_or('\0')
     }
 
-    /// Skip the remainder of the element whose [`Event::Start`] was just
-    /// returned, including all of its descendants. This is how a gmetad
-    /// answering a path query avoids touching subtrees the query does not
-    /// select.
-    pub fn skip_subtree(&mut self) -> XmlResult<()> {
-        let target = self.stack.len();
-        if target == 0 {
-            return Ok(());
-        }
-        loop {
-            match self.next_event()? {
-                Some(Event::End { .. }) if self.stack.len() < target => return Ok(()),
-                Some(_) => continue,
-                None => return Ok(()),
-            }
-        }
-    }
-
-    /// Like [`PullParser::skip_subtree`], but scanning raw bytes without
-    /// materializing any events or attributes — the zero-allocation path
-    /// the delta-aware ingest uses to delimit a `<HOST>` subtree it is
-    /// about to fingerprint. Quoted attribute values (which may contain
-    /// `>`), comments, CDATA sections, and processing instructions are
-    /// honored; close-tag *names* are not checked against open tags, so a
-    /// balanced-but-mismatched subtree passes here that the event path
-    /// would reject. That is safe for fingerprinting: a span whose hash
-    /// misses the cache is re-parsed through the full event path, which
-    /// performs every well-formedness check.
+    /// Like [`PullParser::skip_subtree_into`], but scanning raw bytes
+    /// without producing any events or recording any attributes — the
+    /// path the delta-aware ingest uses to delimit a `<HOST>` subtree it
+    /// is about to fingerprint. Quoted attribute values (which may
+    /// contain `>`), comments, CDATA sections, and processing
+    /// instructions are honored; close-tag *names* are not checked
+    /// against open tags, so a balanced-but-mismatched subtree passes
+    /// here that [`PullParser::next_event_into`] would reject. That is
+    /// safe for fingerprinting: a span whose hash misses the cache is
+    /// re-parsed through the event path, which performs every
+    /// well-formedness check.
+    ///
+    /// On error the parser is left at the first byte after the element's
+    /// start tag, as it was before the call.
     pub fn skip_subtree_raw(&mut self) -> XmlResult<()> {
         if self.pending_end.take().is_some() {
             // `<X/>`: the subtree is the empty element itself.
@@ -516,6 +331,25 @@ impl<'a> PullParser<'a> {
         if self.stack.is_empty() {
             return Ok(());
         }
+        let body_start = self.pos;
+        if let Err(e) = self.scan_to_subtree_end() {
+            // The scan's diagnosis is coarser than the event path's, so
+            // the parser is left where the subtree's content began: the
+            // caller can re-read it through `next_event_into` to report
+            // the precise error.
+            self.pos = body_start;
+            return Err(e);
+        }
+        self.stack.pop();
+        if self.stack.is_empty() {
+            self.saw_root_close = true;
+        }
+        Ok(())
+    }
+
+    /// The byte scan behind [`PullParser::skip_subtree_raw`]: advances
+    /// past the close tag that balances the open element.
+    fn scan_to_subtree_end(&mut self) -> XmlResult<()> {
         let bytes = self.bytes();
         let mut depth = 1usize;
         while depth > 0 {
@@ -595,26 +429,12 @@ impl<'a> PullParser<'a> {
                 }
             }
         }
-        self.stack.pop();
-        if self.stack.is_empty() {
-            self.saw_root_close = true;
-        }
         Ok(())
     }
 
-    /// Byte span of `s` within the parser's input. `s` must be a slice
-    /// of the input (all borrowed event payloads are).
-    fn span_of(&self, s: &str) -> (usize, usize) {
-        let off = s.as_ptr() as usize - self.input.as_ptr() as usize;
-        (off, off + s.len())
-    }
-
-    /// Produce the next event without allocating: attribute spans and
-    /// expanded entities land in `scratch`, which is cleared on entry.
-    /// This is the streaming-ingest twin of [`PullParser::next_event`] —
-    /// it performs the identical well-formedness checks in the identical
-    /// order, so a document that errors under one API errors with the
-    /// same [`XmlError`] under the other.
+    /// Produce the next event, or `Ok(None)` at a well-formed end of
+    /// document. Attribute spans and expanded entities land in
+    /// `scratch`, which is cleared on entry, so no event allocates.
     pub fn next_event_into(
         &mut self,
         scratch: &mut AttrScratch,
@@ -644,29 +464,12 @@ impl<'a> PullParser<'a> {
                     return self.err(XmlErrorKind::UnexpectedEof("markup"));
                 }
                 return match self.bytes()[after_lt] {
-                    b'?' => self.parse_pi().map(|ev| match ev {
-                        Event::Decl(body) => Some(StreamEvent::Decl(body)),
-                        _ => unreachable!("parse_pi yields Decl"),
-                    }),
-                    b'!' => self.parse_bang().map(|ev| {
-                        Some(match ev {
-                            Event::Comment(body) => StreamEvent::Comment(body),
-                            Event::Decl(body) => StreamEvent::Decl(body),
-                            Event::Text(Cow::Borrowed(body)) => {
-                                // CDATA: raw text, never entity-expanded.
-                                let (start, end) = self.span_of(body);
-                                scratch.text = Some(ValueSpan::Input { start, end });
-                                StreamEvent::Text
-                            }
-                            _ => unreachable!("parse_bang yields Comment/Decl/borrowed Text"),
-                        })
-                    }),
-                    b'/' => self.parse_close_tag().map(|ev| match ev {
-                        Event::End { name } => Some(StreamEvent::End { name }),
-                        _ => unreachable!("parse_close_tag yields End"),
-                    }),
-                    _ => self.parse_open_tag_into(scratch).map(Some),
-                };
+                    b'?' => self.parse_pi(),
+                    b'!' => self.parse_bang(scratch),
+                    b'/' => self.parse_close_tag(),
+                    _ => self.parse_open_tag_into(scratch),
+                }
+                .map(Some);
             }
             // Character data up to the next '<'.
             let start = self.pos;
@@ -761,8 +564,8 @@ impl<'a> PullParser<'a> {
         };
         let raw = &self.input[value_start..value_start + end];
         self.pos = value_start + end + 1;
-        // Unescape before the duplicate check so a bad entity reports
-        // first, matching the eventful path's error order.
+        // Unescape before the duplicate check: a bad entity reports
+        // first.
         let value = if raw.contains('&') {
             let arena_start = scratch.arena.len();
             unescape_into(raw, value_start, &mut scratch.arena)?;
@@ -776,10 +579,11 @@ impl<'a> PullParser<'a> {
                 end: value_start + end,
             }
         };
+        let bytes = self.bytes();
         if scratch
             .attrs
             .iter()
-            .any(|a| &self.input[a.name_start..a.name_end] == name)
+            .any(|a| &bytes[a.name_start..a.name_end] == name.as_bytes())
         {
             return self.err(XmlErrorKind::DuplicateAttribute(name.to_string()));
         }
@@ -791,10 +595,11 @@ impl<'a> PullParser<'a> {
         Ok(())
     }
 
-    /// [`PullParser::skip_subtree`] over the borrowing API: skips the
-    /// element whose start event was just returned via
-    /// [`PullParser::next_event_into`], performing full well-formedness
-    /// checks but no allocation.
+    /// Skip the remainder of the element whose start event was just
+    /// returned by [`PullParser::next_event_into`], including all of its
+    /// descendants, performing full well-formedness checks but no
+    /// allocation. This is how a reader avoids touching subtrees it does
+    /// not need.
     pub fn skip_subtree_into(&mut self, scratch: &mut AttrScratch) -> XmlResult<()> {
         let target = self.stack.len();
         if target == 0 {
@@ -822,48 +627,86 @@ fn is_name_char(b: u8) -> bool {
 mod tests {
     use super::*;
 
-    fn all_events(input: &str) -> XmlResult<Vec<Event<'_>>> {
+    /// An owned copy of one event (attributes and text resolved out of
+    /// the scratch), so whole event streams can be compared.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Ev {
+        Start {
+            name: String,
+            attrs: Vec<(String, String)>,
+            empty: bool,
+        },
+        End(String),
+        Text(String),
+        Comment(String),
+        Decl(String),
+    }
+
+    fn all_events(input: &str) -> XmlResult<Vec<Ev>> {
         let mut parser = PullParser::new(input);
+        let mut scratch = AttrScratch::new();
         let mut out = Vec::new();
-        while let Some(ev) = parser.next_event()? {
-            out.push(ev);
+        while let Some(ev) = parser.next_event_into(&mut scratch)? {
+            out.push(match ev {
+                StreamEvent::Start { name, empty } => Ev::Start {
+                    name: name.to_string(),
+                    attrs: (0..scratch.len())
+                        .map(|i| {
+                            (
+                                scratch.name(input, i).to_string(),
+                                scratch.value(input, i).to_string(),
+                            )
+                        })
+                        .collect(),
+                    empty,
+                },
+                StreamEvent::End { name } => Ev::End(name.to_string()),
+                StreamEvent::Text => Ev::Text(scratch.text(input).unwrap().to_string()),
+                StreamEvent::Comment(body) => Ev::Comment(body.to_string()),
+                StreamEvent::Decl(body) => Ev::Decl(body.to_string()),
+            });
         }
         Ok(out)
+    }
+
+    fn start_name<'a>(parser: &mut PullParser<'a>, scratch: &mut AttrScratch) -> Option<&'a str> {
+        match parser.next_event_into(scratch).unwrap() {
+            Some(StreamEvent::Start { name, .. }) => Some(name),
+            _ => None,
+        }
     }
 
     #[test]
     fn parses_empty_element_with_attributes() {
         let events = all_events(r#"<METRIC NAME="cpu_num" VAL="2" TYPE="int"/>"#).unwrap();
-        assert_eq!(events.len(), 2);
-        match &events[0] {
-            Event::Start {
-                name,
-                attributes,
-                empty,
-            } => {
-                assert_eq!(*name, "METRIC");
-                assert!(*empty);
-                assert_eq!(attributes.len(), 3);
-                assert_eq!(attributes[0].name, "NAME");
-                assert_eq!(attributes[0].value, "cpu_num");
-                assert_eq!(attributes[2].value, "int");
-            }
-            other => panic!("expected start, got {other:?}"),
-        }
-        assert_eq!(events[1], Event::End { name: "METRIC" });
+        assert_eq!(
+            events,
+            vec![
+                Ev::Start {
+                    name: "METRIC".into(),
+                    attrs: vec![
+                        ("NAME".into(), "cpu_num".into()),
+                        ("VAL".into(), "2".into()),
+                        ("TYPE".into(), "int".into()),
+                    ],
+                    empty: true,
+                },
+                Ev::End("METRIC".into()),
+            ]
+        );
     }
 
     #[test]
     fn parses_nested_elements_and_text() {
         let events = all_events("<A><B>hello &amp; goodbye</B></A>").unwrap();
         assert_eq!(events.len(), 5);
-        assert_eq!(events[2], Event::Text(Cow::Owned("hello & goodbye".into())));
+        assert_eq!(events[2], Ev::Text("hello & goodbye".into()));
     }
 
     #[test]
     fn whitespace_between_tags_is_skipped() {
         let events = all_events("<A>\n  <B/>\n</A>").unwrap();
-        assert!(events.iter().all(|e| !matches!(e, Event::Text(_))));
+        assert!(events.iter().all(|e| !matches!(e, Ev::Text(_))));
         assert_eq!(events.len(), 4);
     }
 
@@ -871,9 +714,40 @@ mod tests {
     fn single_quoted_attributes() {
         let events = all_events("<A X='1'/>").unwrap();
         match &events[0] {
-            Event::Start { attributes, .. } => assert_eq!(attributes[0].value, "1"),
-            _ => unreachable!(),
+            Ev::Start { attrs, .. } => assert_eq!(attrs[0], ("X".into(), "1".into())),
+            other => panic!("expected start, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn escaped_and_numeric_references_expand() {
+        let events = all_events(r#"<A X="a&lt;b" Y="&#65;&#x42;">t&amp;u</A>"#).unwrap();
+        assert_eq!(
+            events,
+            vec![
+                Ev::Start {
+                    name: "A".into(),
+                    attrs: vec![("X".into(), "a<b".into()), ("Y".into(), "AB".into())],
+                    empty: false,
+                },
+                Ev::Text("t&u".into()),
+                Ev::End("A".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn quoted_gt_stays_inside_attribute_values() {
+        let events = all_events("<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>").unwrap();
+        assert_eq!(
+            events[1],
+            Ev::Start {
+                name: "B".into(),
+                attrs: vec![("X".into(), "a>b".into()), ("Y".into(), "c>d".into())],
+                empty: false,
+            }
+        );
+        assert_eq!(events.len(), 8);
     }
 
     #[test]
@@ -912,53 +786,143 @@ mod tests {
         assert_eq!(err.kind, XmlErrorKind::NoRootElement);
     }
 
+    /// Every malformed construct fails with one exact error: the offset
+    /// and kind are part of the parser's contract (the document builder
+    /// and the DTD validator surface them verbatim).
+    #[test]
+    fn malformed_documents_fail_with_exact_errors() {
+        use XmlErrorKind::*;
+        let cases: &[(&str, usize, XmlErrorKind)] = &[
+            (
+                "<A><B></A></B>",
+                8,
+                MismatchedClose {
+                    open: "B".into(),
+                    close: "A".into(),
+                },
+            ),
+            ("<A><B>", 6, UnclosedElements(2)),
+            (r#"<A X="1" X="2"/>"#, 14, DuplicateAttribute("X".into())),
+            ("<A/><B/>", 4, TrailingContent),
+            ("<A/>junk", 8, TrailingContent),
+            ("junk<A/>", 4, TrailingContent),
+            ("   ", 3, NoRootElement),
+            ("<A X=\"1/>", 6, UnexpectedEof("attribute value")),
+            (
+                "<A X=1/>",
+                5,
+                UnexpectedChar {
+                    expected: "quoted attribute value",
+                    found: '1',
+                },
+            ),
+            (
+                "<A X/>",
+                4,
+                UnexpectedChar {
+                    expected: "'=' in attribute",
+                    found: '/',
+                },
+            ),
+            ("<A><B>x&bogus;y</B></A>", 7, BadEntity("bogus".into())),
+            (r#"<A X="a&nope;b"/>"#, 7, BadEntity("nope".into())),
+            (r#"<A X="a&amp"/>"#, 7, BadEntity("amp".into())),
+            ("<A", 2, UnexpectedEof("start tag")),
+            ("<", 0, UnexpectedEof("markup")),
+            ("<A><!-- never closed", 3, UnexpectedEof("comment")),
+            (
+                "<A><![CDATA[never closed",
+                3,
+                UnexpectedEof("CDATA section"),
+            ),
+            (
+                "<?pi never closed",
+                0,
+                UnexpectedEof("processing instruction"),
+            ),
+            ("<!DOCTYPE G [ <!x> ", 0, UnexpectedEof("declaration")),
+            ("</A>", 2, UnmatchedClose("A".into())),
+            ("<A></A >x", 9, TrailingContent),
+            (
+                "<A></A x>",
+                7,
+                UnexpectedChar {
+                    expected: "'>' to finish close tag",
+                    found: 'x',
+                },
+            ),
+            (
+                "<A/ >",
+                3,
+                UnexpectedChar {
+                    expected: "'>' after '/'",
+                    found: ' ',
+                },
+            ),
+            ("<1/>", 1, BadName),
+        ];
+        for (doc, offset, kind) in cases {
+            let err = all_events(doc).unwrap_err();
+            assert_eq!(
+                (err.offset, &err.kind),
+                (*offset, kind),
+                "wrong error for {doc:?}"
+            );
+        }
+    }
+
     #[test]
     fn accepts_declaration_doctype_and_comment() {
         let doc = "<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?>\n\
                    <!DOCTYPE GANGLIA_XML [ <!ELEMENT GANGLIA_XML (GRID)*> ]>\n\
                    <!-- report --><GANGLIA_XML/>";
         let events = all_events(doc).unwrap();
-        assert!(matches!(events[0], Event::Decl(_)));
-        assert!(matches!(events[1], Event::Decl(d) if d.contains("DOCTYPE")));
-        assert_eq!(events[2], Event::Comment(" report "));
+        assert!(matches!(&events[0], Ev::Decl(d) if d.starts_with("xml version")));
+        assert!(matches!(&events[1], Ev::Decl(d) if d.contains("DOCTYPE")));
+        assert_eq!(events[2], Ev::Comment(" report ".into()));
     }
 
     #[test]
-    fn cdata_is_text() {
-        let events = all_events("<A><![CDATA[x < y & z]]></A>").unwrap();
-        assert_eq!(events[1], Event::Text(Cow::Borrowed("x < y & z")));
+    fn cdata_is_raw_text() {
+        let doc = "<A><![CDATA[x < y &amp; z]]></A>";
+        let events = all_events(doc).unwrap();
+        assert_eq!(events[1], Ev::Text("x < y &amp; z".into()));
+        // CDATA text is a span of the input, never copied to the arena.
+        let mut parser = PullParser::new(doc);
+        let mut scratch = AttrScratch::new();
+        parser.next_event_into(&mut scratch).unwrap();
+        parser.next_event_into(&mut scratch).unwrap();
+        assert!(points_into(doc, scratch.text(doc).unwrap()));
+    }
+
+    fn points_into(input: &str, s: &str) -> bool {
+        let base = input.as_ptr() as usize;
+        let p = s.as_ptr() as usize;
+        p >= base && p + s.len() <= base + input.len()
     }
 
     #[test]
     fn attribute_values_are_borrowed_when_plain() {
-        let doc = r#"<A X="plain"/>"#;
+        let doc = r#"<A X="plain" Y="a&amp;b">text</A>"#;
         let mut parser = PullParser::new(doc);
-        match parser.next_event().unwrap().unwrap() {
-            Event::Start { attributes, .. } => {
-                assert!(matches!(attributes[0].value, Cow::Borrowed(_)));
-            }
-            _ => unreachable!(),
-        }
+        let mut scratch = AttrScratch::new();
+        parser.next_event_into(&mut scratch).unwrap();
+        assert!(points_into(doc, scratch.get(doc, "X").unwrap()));
+        assert!(!points_into(doc, scratch.get(doc, "Y").unwrap()));
+        parser.next_event_into(&mut scratch).unwrap();
+        assert!(points_into(doc, scratch.text(doc).unwrap()));
     }
 
     #[test]
     fn skip_subtree_skips_descendants() {
         let doc = "<A><B><C/><D>text</D></B><E/></A>";
         let mut parser = PullParser::new(doc);
-        assert_eq!(
-            parser.next_event().unwrap().unwrap().start_name(),
-            Some("A")
-        );
-        assert_eq!(
-            parser.next_event().unwrap().unwrap().start_name(),
-            Some("B")
-        );
-        parser.skip_subtree().unwrap();
+        let mut scratch = AttrScratch::new();
+        assert_eq!(start_name(&mut parser, &mut scratch), Some("A"));
+        assert_eq!(start_name(&mut parser, &mut scratch), Some("B"));
+        parser.skip_subtree_into(&mut scratch).unwrap();
         // Next event should be the start of E.
-        assert_eq!(
-            parser.next_event().unwrap().unwrap().start_name(),
-            Some("E")
-        );
+        assert_eq!(start_name(&mut parser, &mut scratch), Some("E"));
     }
 
     #[test]
@@ -969,130 +933,56 @@ mod tests {
             "<A><B><!-- gt > inside --><![CDATA[ x > y ]]><?pi > ?><C/></B><E/></A>",
             "<A><B/><E/></A>",
         ];
+        let mut scratch = AttrScratch::new();
         for doc in docs {
             let mut parser = PullParser::new(doc);
-            parser.next_event().unwrap(); // <A>
-            parser.next_event().unwrap(); // <B ...>
+            parser.next_event_into(&mut scratch).unwrap(); // <A>
+            parser.next_event_into(&mut scratch).unwrap(); // <B ...>
             let mut raw = parser.clone();
-            parser.skip_subtree().unwrap();
+            parser.skip_subtree_into(&mut scratch).unwrap();
             raw.skip_subtree_raw().unwrap();
             assert_eq!(raw.offset(), parser.offset(), "offset diverged on {doc}");
             assert_eq!(raw.depth(), parser.depth(), "depth diverged on {doc}");
             // Both parsers resume identically.
-            assert_eq!(
-                raw.next_event().unwrap().unwrap().start_name(),
-                Some("E"),
-                "resume diverged on {doc}"
-            );
+            for p in [&mut raw, &mut parser] {
+                assert_eq!(
+                    p.next_event_into(&mut scratch).unwrap().unwrap(),
+                    StreamEvent::Start {
+                        name: "E",
+                        empty: true
+                    },
+                    "resume diverged on {doc}"
+                );
+            }
         }
     }
 
     #[test]
     fn raw_skip_rejects_truncated_subtree() {
         let mut parser = PullParser::new("<A><B><C>");
-        parser.next_event().unwrap();
-        parser.next_event().unwrap();
+        let mut scratch = AttrScratch::new();
+        parser.next_event_into(&mut scratch).unwrap();
+        parser.next_event_into(&mut scratch).unwrap();
+        let before = (parser.offset(), parser.depth());
         assert!(parser.skip_subtree_raw().is_err());
+        // The failed scan leaves the parser where it was, so the event
+        // path can re-read the subtree and report the precise error.
+        assert_eq!((parser.offset(), parser.depth()), before);
+        assert_eq!(start_name(&mut parser, &mut scratch), Some("C"));
+        let err = parser.next_event_into(&mut scratch).unwrap_err();
+        assert_eq!(err.kind, XmlErrorKind::UnclosedElements(3));
     }
 
     #[test]
     fn event_span_covers_subtree() {
         let doc = "<A><B X=\"1\"><C/></B><E/></A>";
         let mut parser = PullParser::new(doc);
-        parser.next_event().unwrap(); // <A>
-        parser.next_event().unwrap(); // <B>
+        let mut scratch = AttrScratch::new();
+        parser.next_event_into(&mut scratch).unwrap(); // <A>
+        parser.next_event_into(&mut scratch).unwrap(); // <B>
         let start = parser.last_event_start();
         parser.skip_subtree_raw().unwrap();
         assert_eq!(&doc[start..parser.offset()], "<B X=\"1\"><C/></B>");
-    }
-
-    /// Drain a document through the borrowing API, materializing each
-    /// event into the eventful `Event` shape so the two streams can be
-    /// compared exactly.
-    fn all_stream_events(input: &str) -> XmlResult<Vec<Event<'_>>> {
-        let mut parser = PullParser::new(input);
-        let mut scratch = AttrScratch::new();
-        let mut out = Vec::new();
-        while let Some(ev) = parser.next_event_into(&mut scratch)? {
-            out.push(match ev {
-                StreamEvent::Start { name, empty } => Event::Start {
-                    name,
-                    attributes: (0..scratch.len())
-                        .map(|i| Attribute {
-                            name: scratch.name(input, i),
-                            value: Cow::Owned(scratch.value(input, i).to_string()),
-                        })
-                        .collect(),
-                    empty,
-                },
-                StreamEvent::End { name } => Event::End { name },
-                StreamEvent::Text => {
-                    Event::Text(Cow::Owned(scratch.text(input).unwrap().to_string()))
-                }
-                StreamEvent::Comment(body) => Event::Comment(body),
-                StreamEvent::Decl(body) => Event::Decl(body),
-            });
-        }
-        Ok(out)
-    }
-
-    fn assert_streams_match(doc: &str) {
-        let eventful = all_events(doc);
-        let streaming = all_stream_events(doc);
-        match (eventful, streaming) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len(), "event count diverged on {doc:?}");
-                for (x, y) in a.iter().zip(&b) {
-                    // Values compare by content; Cow Borrowed/Owned differ.
-                    assert_eq!(x, y, "event diverged on {doc:?}");
-                }
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "errors diverged on {doc:?}"),
-            (a, b) => panic!("outcome diverged on {doc:?}: eventful={a:?} streaming={b:?}"),
-        }
-    }
-
-    #[test]
-    fn streaming_matches_eventful_on_well_formed_docs() {
-        for doc in [
-            r#"<METRIC NAME="cpu_num" VAL="2" TYPE="int"/>"#,
-            "<A><B>hello &amp; goodbye</B></A>",
-            "<A>\n  <B/>\n</A>",
-            "<A X='1'/>",
-            r#"<A X="a&lt;b" Y="&#65;&#x42;">t&amp;u</A>"#,
-            "<?xml version=\"1.0\"?><!DOCTYPE G [ <!ELEMENT G (X)*> ]><!-- c --><G/>",
-            "<A><![CDATA[x < y & z]]></A>",
-            "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
-        ] {
-            assert_streams_match(doc);
-        }
-    }
-
-    #[test]
-    fn streaming_matches_eventful_on_malformed_docs() {
-        for doc in [
-            "<A><B></A></B>",
-            "<A><B>",
-            r#"<A X="1" X="2"/>"#,
-            "<A/><B/>",
-            "<A/>junk",
-            "junk<A/>",
-            "   ",
-            "<A X=\"1/>",
-            "<A X=1/>",
-            "<A X/>",
-            "<A><B>x&bogus;y</B></A>",
-            r#"<A X="a&nope;b"/>"#,
-            r#"<A X="a&amp"/>"#,
-            "<A",
-            "<",
-            "<A><!-- never closed",
-            "<A><![CDATA[never closed",
-            "<?pi never closed",
-            "<!DOCTYPE G [ <!x> ",
-        ] {
-            assert_streams_match(doc);
-        }
     }
 
     #[test]
@@ -1140,45 +1030,14 @@ mod tests {
     }
 
     #[test]
-    fn skip_subtree_into_matches_event_skip() {
-        let docs = [
-            "<A><B><C/><D>text</D></B><E/></A>",
-            "<A><B X=\"a>b\" Y='c>d'><C/></B><E/></A>",
-            "<A><B/><E/></A>",
-        ];
-        let mut scratch = AttrScratch::new();
-        for doc in docs {
-            let mut parser = PullParser::new(doc);
-            parser.next_event_into(&mut scratch).unwrap(); // <A>
-            parser.next_event_into(&mut scratch).unwrap(); // <B ...>
-            let mut eventful = parser.clone();
-            eventful.skip_subtree().unwrap();
-            parser.skip_subtree_into(&mut scratch).unwrap();
-            assert_eq!(
-                parser.offset(),
-                eventful.offset(),
-                "offset diverged on {doc}"
-            );
-            assert_eq!(parser.depth(), eventful.depth(), "depth diverged on {doc}");
-            assert_eq!(
-                parser.next_event_into(&mut scratch).unwrap().unwrap(),
-                StreamEvent::Start {
-                    name: "E",
-                    empty: true
-                },
-                "resume diverged on {doc}"
-            );
-        }
-    }
-
-    #[test]
     fn depth_tracks_nesting() {
         let mut parser = PullParser::new("<A><B/></A>");
-        parser.next_event().unwrap();
+        let mut scratch = AttrScratch::new();
+        parser.next_event_into(&mut scratch).unwrap();
         assert_eq!(parser.depth(), 1);
-        parser.next_event().unwrap(); // <B/> start
+        parser.next_event_into(&mut scratch).unwrap(); // <B/> start
         assert_eq!(parser.depth(), 2);
-        parser.next_event().unwrap(); // B end
+        parser.next_event_into(&mut scratch).unwrap(); // B end
         assert_eq!(parser.depth(), 1);
     }
 }

@@ -181,7 +181,7 @@ impl<'w, W: Write> XmlWriter<'w, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::Element;
+    use crate::pull::{AttrScratch, PullParser, StreamEvent};
 
     #[test]
     fn writes_nested_document() {
@@ -230,16 +230,29 @@ mod tests {
         w.empty_element("HOST", &[("NAME", "n0")]);
         w.finish().unwrap();
         assert!(out.contains('\n'));
-        let dom = Element::parse(&out).unwrap();
-        assert_eq!(dom.name, "GRID");
-        assert_eq!(
-            dom.child("CLUSTER")
-                .unwrap()
-                .child("HOST")
-                .unwrap()
-                .attr("NAME"),
-            Some("n0")
-        );
+        // Parse it back: the indentation carries no events, and the
+        // element path and attribute survive.
+        let mut parser = PullParser::new(&out);
+        let mut scratch = AttrScratch::new();
+        let mut path = Vec::new();
+        let mut host_name = None;
+        while let Some(ev) = parser.next_event_into(&mut scratch).unwrap() {
+            match ev {
+                StreamEvent::Start { name, .. } => {
+                    path.push(name);
+                    if name == "HOST" {
+                        assert_eq!(path, ["GRID", "CLUSTER", "HOST"]);
+                        host_name = scratch.get(&out, "NAME").map(str::to_string);
+                    }
+                }
+                StreamEvent::End { .. } => {
+                    path.pop();
+                }
+                StreamEvent::Decl(_) => {}
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert_eq!(host_name.as_deref(), Some("n0"));
     }
 
     #[test]
