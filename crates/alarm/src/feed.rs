@@ -1,21 +1,21 @@
-//! Drive the alarm engine from GQL continuous queries.
+//! Evaluate alarm rules as GQL continuous queries.
 //!
-//! The classic path re-walks the whole monitoring document every round
-//! (`AlarmEngine::evaluate`). A gmetad that already evaluates GQL
-//! subscriptions after each poll round can instead push each rule's
-//! matching rows to the alarm pipeline: every [`Rule`] compiles to one
-//! GQL expression ([`rule_expr`]), the resulting rows map back to the
-//! engine's `(rule, subject, value)` observations
-//! ([`rule_observations`]), and the observations drive the exact same
-//! hysteresis state machine via
+//! Every [`Rule`] compiles to one GQL expression ([`rule_expr`]). The
+//! query's result rows map back to `(rule, subject, value)`
+//! observations ([`rule_observations`]), which drive the hysteresis
+//! state machine via
 //! [`AlarmEngine::apply_observations`](crate::engine::AlarmEngine::apply_observations).
-//! The two ingest paths are equivalent by construction — and by test
-//! (`feed_matches_document_walker` below).
+//! A consumer states what it watches as queries over the monitoring
+//! tree, so the same rule runs over a document in hand or over a
+//! subscription pushed by a gmetad after each poll round.
 //!
-//! [`AlarmFeed`] bundles the compiled queries with an engine for
-//! callers that hold documents or row sets; subscription clients can
-//! instead pull [`AlarmFeed::expressions`], subscribe each one, and
-//! hand mirrored rows to [`AlarmFeed::apply_rows`].
+//! [`AlarmFeed`] bundles the compiled queries with an engine. It has
+//! two entry points: [`AlarmFeed::evaluate_doc`] for callers that hold
+//! a document, and [`AlarmFeed::apply_rows`] for subscription clients,
+//! which pull [`AlarmFeed::expressions`], subscribe each one and hand
+//! the mirrored rows back. Rows are keyed `grid|cluster|host|metric`
+//! and the last row for a key wins, so a duplicated host or metric
+//! name is observed once per round.
 
 use ganglia_metrics::model::GangliaDoc;
 use ganglia_query::gql::{GqlQuery, Row, HOSTS_DOWN};
@@ -51,8 +51,7 @@ fn matcher_stage(field: &str, matcher: &Matcher) -> Option<String> {
 
 /// The GQL expression equivalent to one alarm rule, or `None` for the
 /// one unrepresentable (and meaningless) combination: a per-host rule
-/// watching the summary-only `HostsDown` signal, which the document
-/// walker also never observes.
+/// watching the summary-only `HostsDown` signal.
 pub fn rule_expr(rule: &Rule) -> Option<String> {
     let mut stages: Vec<String> = Vec::new();
     match &rule.host {
@@ -80,8 +79,7 @@ pub fn rule_expr(rule: &Rule) -> Option<String> {
 /// Map one rule's GQL result rows back to engine observations. Summary
 /// rules subject on the cluster/grid name (the summary row's CLUSTER
 /// column carries both); per-host rules subject on `cluster/host`.
-/// Rows without a numeric value observe nothing, exactly as the
-/// document walker skips them.
+/// Rows without a numeric value observe nothing.
 pub fn rule_observations(rule: &Rule, rows: &[Row]) -> Vec<(String, String, f64)> {
     let mut out = Vec::new();
     for row in rows {
@@ -102,7 +100,7 @@ struct CompiledRule {
     query: GqlQuery,
 }
 
-/// An alarm engine fed by GQL queries instead of document walks.
+/// An alarm engine fed by GQL queries.
 pub struct AlarmFeed {
     engine: AlarmEngine,
     compiled: Vec<CompiledRule>,
@@ -111,7 +109,7 @@ pub struct AlarmFeed {
 impl AlarmFeed {
     /// Compile each rule to its GQL expression. Rules that compile to
     /// nothing (per-host `HostsDown`) are carried by the engine but
-    /// never observe anything, same as under the walker.
+    /// never observe anything.
     pub fn new(rules: Vec<Rule>) -> AlarmFeed {
         let compiled = rules
             .iter()
@@ -145,8 +143,9 @@ impl AlarmFeed {
             .collect()
     }
 
-    /// Evaluate every rule's query against a full document and drive
-    /// the state machine. Equivalent to `AlarmEngine::evaluate`.
+    /// Evaluate every rule's query against a full document (full
+    /// detail or summary form) at time `now` and drive the state
+    /// machine, delivering transitions to `sink` and returning them.
     pub fn evaluate_doc(
         &mut self,
         doc: &GangliaDoc,
@@ -183,10 +182,11 @@ impl AlarmFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{AlarmKind, AlarmStatus};
     use crate::rule::Comparison;
     use crate::sink::MemorySink;
     use ganglia_metrics::model::{
-        ClusterNode, GridBody, GridItem, GridNode, HostNode, MetricEntry,
+        ClusterNode, GridBody, GridItem, GridNode, HostNode, MetricEntry, SummaryBody,
     };
     use ganglia_metrics::MetricValue;
     use ganglia_query::RegexLite;
@@ -255,6 +255,22 @@ mod tests {
         ]
     }
 
+    fn doc_with_load(load: f64, hosts_down: usize) -> GangliaDoc {
+        let hosts: Vec<HostNode> = (0..4)
+            .map(|i| {
+                let mut h = HostNode::new(format!("n{i}"), "10.0.0.1");
+                if i < hosts_down {
+                    h.tn = 10_000;
+                }
+                h.metrics
+                    .push(MetricEntry::new("load_one", MetricValue::Double(load)));
+                h
+            })
+            .collect();
+        let cluster = ClusterNode::with_hosts("meteor", hosts);
+        GangliaDoc::gmond(cluster)
+    }
+
     #[test]
     fn rule_exprs_compile() {
         for rule in test_rules() {
@@ -288,27 +304,235 @@ mod tests {
     }
 
     #[test]
-    fn feed_matches_document_walker() {
-        // The GQL feed and the document walker must produce identical
-        // event streams over a multi-round scenario that raises, holds
-        // and clears alarms.
+    fn every_observation_path_raises_and_holds() {
+        // Cluster summaries, the remote grid's summary and per-host
+        // values all feed the state machine; the held per-host rule
+        // fires only once its 30 s have passed.
         let doc = test_doc();
-        let mut walker = AlarmEngine::new(test_rules());
         let mut feed = AlarmFeed::new(test_rules());
-        let walker_sink = MemorySink::new();
-        let feed_sink = MemorySink::new();
-        for now in [0_u64, 15, 30, 45, 60] {
-            let mut from_walker = walker.evaluate(&doc, now, &walker_sink);
-            let mut from_feed = feed.evaluate_doc(&doc, now, &feed_sink);
-            let key = |e: &AlarmEvent| (e.rule.clone(), e.subject.clone());
-            from_walker.sort_by_key(&key);
-            from_feed.sort_by_key(&key);
-            assert_eq!(from_walker, from_feed, "diverged at t={now}");
+        let sink = MemorySink::new();
+        let raised = |events: Vec<AlarmEvent>| -> Vec<(String, String, f64)> {
+            assert!(events.iter().all(|e| e.kind == AlarmKind::Raised));
+            let mut out: Vec<_> = events
+                .into_iter()
+                .map(|e| (e.rule, e.subject, e.value))
+                .collect();
+            out.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+            out
+        };
+        let pair = |rule: &str, subject: &str, value: f64| (rule.into(), subject.into(), value);
+        assert_eq!(
+            raised(feed.evaluate_doc(&doc, 0, &sink)),
+            vec![
+                pair("dead-hosts", "attic", 1.0),
+                pair("dead-hosts", "meteor", 1.0),
+                pair("load-high", "attic", 3.5),
+                pair("load-high", "meteor", 3.5),
+            ]
+        );
+        assert!(feed.evaluate_doc(&doc, 15, &sink).is_empty());
+        assert_eq!(
+            raised(feed.evaluate_doc(&doc, 30, &sink)),
+            vec![pair("hot", "meteor/n0", 6.0), pair("hot", "meteor/n3", 9.0)]
+        );
+        assert!(feed.evaluate_doc(&doc, 45, &sink).is_empty());
+        assert_eq!(feed.engine().firing().len(), 6);
+        assert_eq!(sink.events().len(), 6);
+    }
+
+    #[test]
+    fn immediate_rule_raises_and_clears() {
+        let rules = vec![Rule::summary(
+            "load-high",
+            Matcher::Exact("meteor".into()),
+            Signal::Metric("load_one".into()),
+            Comparison::Above(2.0),
+        )];
+        let mut feed = AlarmFeed::new(rules);
+        let sink = MemorySink::new();
+
+        let events = feed.evaluate_doc(&doc_with_load(3.0, 0), 10, &sink);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, AlarmKind::Raised);
+        assert_eq!(events[0].subject, "meteor");
+        assert_eq!(feed.engine().firing().len(), 1);
+
+        // Still violated: no new events.
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.5, 0), 25, &sink)
+            .is_empty());
+
+        // Recovered: cleared.
+        let events = feed.evaluate_doc(&doc_with_load(0.5, 0), 40, &sink);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, AlarmKind::Cleared);
+        assert!(feed.engine().firing().is_empty());
+        assert_eq!(sink.events().len(), 2);
+    }
+
+    #[test]
+    fn hold_secs_requires_persistence() {
+        let rules = vec![Rule::summary(
+            "load-high",
+            Matcher::Any,
+            Signal::Metric("load_one".into()),
+            Comparison::Above(2.0),
+        )
+        .hold_for(30)];
+        let mut feed = AlarmFeed::new(rules);
+        let sink = MemorySink::new();
+
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.0, 0), 0, &sink)
+            .is_empty());
+        assert_eq!(
+            feed.engine().status("load-high", "meteor"),
+            AlarmStatus::Pending { since: 0 }
+        );
+        // A dip resets the pending state.
+        assert!(feed
+            .evaluate_doc(&doc_with_load(1.0, 0), 15, &sink)
+            .is_empty());
+        assert_eq!(feed.engine().status("load-high", "meteor"), AlarmStatus::Ok);
+        // Violation must persist the full hold time.
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.0, 0), 30, &sink)
+            .is_empty());
+        assert!(feed
+            .evaluate_doc(&doc_with_load(3.0, 0), 45, &sink)
+            .is_empty());
+        let events = feed.evaluate_doc(&doc_with_load(3.0, 0), 60, &sink);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, AlarmKind::Raised);
+    }
+
+    #[test]
+    fn hosts_down_rule() {
+        let rules = vec![Rule::summary(
+            "dead-hosts",
+            Matcher::Any,
+            Signal::HostsDown,
+            Comparison::Above(0.0),
+        )];
+        let mut feed = AlarmFeed::new(rules);
+        let sink = MemorySink::new();
+        assert!(feed
+            .evaluate_doc(&doc_with_load(1.0, 0), 0, &sink)
+            .is_empty());
+        let events = feed.evaluate_doc(&doc_with_load(1.0, 2), 15, &sink);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].value, 2.0);
+    }
+
+    #[test]
+    fn per_host_rule_tracks_each_host() {
+        let rules = vec![Rule::per_host(
+            "hot",
+            Matcher::Any,
+            Matcher::Pattern(RegexLite::new("^n[01]$").unwrap()),
+            "load_one",
+            Comparison::Above(2.0),
+        )];
+        let mut feed = AlarmFeed::new(rules);
+        let sink = MemorySink::new();
+        let events = feed.evaluate_doc(&doc_with_load(5.0, 0), 0, &sink);
+        // Only n0 and n1 match the host pattern.
+        assert_eq!(events.len(), 2);
+        let subjects: Vec<&str> = events.iter().map(|e| e.subject.as_str()).collect();
+        assert_eq!(subjects, vec!["meteor/n0", "meteor/n1"]);
+    }
+
+    #[test]
+    fn summary_rules_work_on_grid_summaries() {
+        // An N-level parent only has the grid's summary — rules still
+        // evaluate (on the mean).
+        let summary = SummaryBody {
+            hosts_up: 10,
+            hosts_down: 3,
+            metrics: vec![ganglia_metrics::MetricSummary {
+                name: "load_one".into(),
+                sum: 50.0,
+                num: 10,
+                ty: ganglia_metrics::MetricType::Float,
+                units: Default::default(),
+                slope: ganglia_metrics::Slope::Both,
+                source: "gmond".into(),
+            }],
+        };
+        let grid = GridNode {
+            name: "attic".into(),
+            authority: String::new(),
+            localtime: None,
+            body: GridBody::Summary(summary),
+        };
+        let doc = GangliaDoc {
+            version: "2.5.4".into(),
+            source: "gmetad".into(),
+            items: vec![GridItem::Grid(grid)],
+        };
+        let rules = vec![
+            Rule::summary(
+                "grid-load",
+                Matcher::Any,
+                Signal::Metric("load_one".into()),
+                Comparison::Above(4.0),
+            ),
+            Rule::summary(
+                "grid-dead",
+                Matcher::Any,
+                Signal::HostsDown,
+                Comparison::Above(2.0),
+            ),
+        ];
+        let mut feed = AlarmFeed::new(rules);
+        let sink = MemorySink::new();
+        let events = feed.evaluate_doc(&doc, 0, &sink);
+        assert_eq!(events.len(), 2, "{events:?}");
+    }
+
+    #[test]
+    fn duplicate_names_observe_the_last_row() {
+        // A host that reports one metric twice, and a cluster that
+        // lists one host twice, are observed once per round through the
+        // GQL row key (`grid|cluster|host|metric`), whose last row wins:
+        // hot-then-calm reads calm, and a duplicated host cannot raise
+        // and clear within a single round.
+        let mut dup_metric = HostNode::new("n0", "10.0.0.1");
+        for load in [9.0, 1.0] {
+            dup_metric
+                .metrics
+                .push(MetricEntry::new("load_one", MetricValue::Double(load)));
         }
-        assert_eq!(walker.firing(), feed.engine().firing());
-        assert!(
-            !walker_sink.events().is_empty(),
-            "scenario must actually fire alarms"
+        let host = |load: f64| {
+            let mut h = HostNode::new("n1", "10.0.0.2");
+            h.metrics
+                .push(MetricEntry::new("load_one", MetricValue::Double(load)));
+            h
+        };
+        let calm_last = GangliaDoc::gmond(ClusterNode::with_hosts(
+            "meteor",
+            vec![dup_metric.clone(), host(9.0), host(1.0)],
+        ));
+        let hot_last = GangliaDoc::gmond(ClusterNode::with_hosts(
+            "meteor",
+            vec![dup_metric, host(1.0), host(9.0)],
+        ));
+        let mut feed = AlarmFeed::new(vec![Rule::per_host(
+            "hot",
+            Matcher::Any,
+            Matcher::Pattern(RegexLite::new("^n[01]$").unwrap()),
+            "load_one",
+            Comparison::Above(2.0),
+        )]);
+        let sink = MemorySink::new();
+        assert!(feed.evaluate_doc(&calm_last, 0, &sink).is_empty());
+        let events = feed.evaluate_doc(&hot_last, 15, &sink);
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].subject, "meteor/n1");
+        assert_eq!(events[0].value, 9.0);
+        assert_eq!(
+            feed.engine().firing(),
+            vec![("hot".to_string(), "meteor/n1".to_string())]
         );
     }
 

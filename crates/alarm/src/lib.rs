@@ -5,16 +5,15 @@
 //! a human observer. This feature will become increasingly important as
 //! the size of the monitor tree grows." (paper §5)
 //!
-//! The engine evaluates [`rule::Rule`]s against Ganglia documents (full
-//! detail or summary form — so it works anywhere in the multi-resolution
-//! tree) and runs a hysteresis state machine per `(rule, subject)`: a
-//! condition must hold for a rule's `hold_secs` before the alarm fires,
-//! and an alarm clears only when the condition stops holding. Raised and
-//! cleared transitions are delivered to an [`sink::AlarmSink`].
-//!
-//! Rules can also ride the GQL subscription pipeline instead of
-//! re-walking documents: [`feed`] compiles each rule to a continuous
-//! query and maps the pushed rows back into the same state machine.
+//! [`feed::AlarmFeed`] compiles each [`rule::Rule`] to a GQL continuous
+//! query and evaluates it over Ganglia documents (full detail or summary
+//! form, so it works anywhere in the multi-resolution tree) or over rows
+//! pushed by a GQL subscription. The resulting observations drive
+//! [`engine::AlarmEngine`], a hysteresis state machine per
+//! `(rule, subject)`: a condition must hold for a rule's `hold_secs`
+//! before the alarm fires, and an alarm clears only when the condition
+//! stops holding. Raised and cleared transitions are delivered to an
+//! [`sink::AlarmSink`].
 
 pub mod engine;
 pub mod feed;

@@ -27,7 +27,7 @@ use ganglia_query::gql::{error_xml, render_xml};
 use ganglia_query::{Filter, GqlQuery, Query, RootRef, RowSet};
 use ganglia_rrd::{ConsolidationFn, MetricKey, Series};
 use ganglia_serve::{FrontTier, ServeOptions, SubscriptionRegistry};
-use ganglia_telemetry::{LogicalClock, Registry, Snapshot, Tracer};
+use ganglia_telemetry::{LogicalClock, Registry, Round, Snapshot, Tracer};
 
 use crate::archive::{
     archive_source, write_unknowns, ArchiveRecovery, ArchiveShards, CheckpointTotals, ShardJournal,
@@ -220,11 +220,11 @@ impl Gmetad {
     /// attempt's timeout is clamped to the round's remaining budget.
     pub fn poll_all(&self, transport: &dyn Transport, now: u64) -> Vec<Result<(), GmetadError>> {
         self.set_clock(now);
-        // Every span opened during this round — the round itself, each
-        // source's poll, the query spans racing it — carries this id,
-        // so the trace log can be sliced by round.
-        self.tracer.begin_round();
-        let round = self.tracer.span("round");
+        // The round span and each source's poll span open from this
+        // handle and carry its id; query spans racing the round pick it
+        // up as the current round. The trace log slices by round.
+        let round = self.tracer.begin_round();
+        let round_span = round.span("round");
         let round_start = Instant::now();
         let deadline = Duration::from_secs(self.config.round_deadline_secs);
         let budget = if deadline.is_zero() {
@@ -240,7 +240,7 @@ impl Gmetad {
         let results: Vec<Result<(), GmetadError>> = if workers <= 1 || slots.len() <= 1 {
             slots
                 .iter()
-                .map(|slot| self.poll_slot(slot, transport, now, &budget))
+                .map(|slot| self.poll_slot(&round, slot, transport, now, &budget))
                 .collect()
         } else {
             let cells: Vec<OnceLock<Result<(), GmetadError>>> =
@@ -251,7 +251,7 @@ impl Gmetad {
                     scope.spawn(|| loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(slot) = slots.get(idx) else { break };
-                        let result = self.poll_slot(slot, transport, now, &budget);
+                        let result = self.poll_slot(&round, slot, transport, now, &budget);
                         cells[idx].set(result).expect("each slot polled once");
                     });
                 }
@@ -321,7 +321,7 @@ impl Gmetad {
             self.meter
                 .time(WorkCategory::QueryServe, || subs.run_round());
         }
-        drop(round);
+        drop(round_span);
         results
     }
 
@@ -331,6 +331,7 @@ impl Gmetad {
     /// sources never wait behind this one.
     fn poll_slot(
         &self,
+        round: &Round<'_>,
         slot: &Mutex<SourcePoller>,
         transport: &dyn Transport,
         now: u64,
@@ -341,7 +342,7 @@ impl Gmetad {
         let slot_start = Instant::now();
         // Opened before the slot lock so the span times what the old
         // histogram did: lock wait included.
-        let mut trace = self.tracer.span("round.poll");
+        let mut trace = round.span("round.poll");
         let mut poller = slot.lock();
         let name = poller.cfg().name.clone();
         trace.set_source(&name);

@@ -168,7 +168,7 @@ impl GmondAgent {
             // Multicast to neighbors, and apply locally: the sender's own
             // state must include itself (a report covers "itself and all
             // its neighbors").
-            self.channel.publish(packet.encode());
+            self.channel.publish(packet.encode().into());
             self.packets_sent += 1;
             self.packets_tx.inc();
             self.apply_packet(&packet, now);
@@ -199,7 +199,7 @@ impl GmondAgent {
             tmax,
             dmax,
         };
-        self.channel.publish(packet.encode());
+        self.channel.publish(packet.encode().into());
         self.packets_sent += 1;
         self.packets_tx.inc();
         self.apply_packet(&packet, now);
@@ -550,7 +550,7 @@ mod tests {
         let injector = bus.subscribe();
         a.tick(0);
         // Garbage alongside the real packets: dropped, counted, not fatal.
-        injector.publish(bytes::Bytes::from_static(b"\xff\xff\xffnot-xdr"));
+        injector.publish(std::sync::Arc::from(&b"\xff\xff\xffnot-xdr"[..]));
         b.receive(0);
         assert_eq!(b.known_hosts(), 1);
         let reg = b.registry();

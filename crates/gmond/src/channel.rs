@@ -6,7 +6,7 @@
 //! packets and both are lossy, which is why everything above them is
 //! soft state.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::udp::UdpMesh;
 use ganglia_net::McastSubscription;
@@ -15,30 +15,30 @@ use ganglia_net::McastSubscription;
 pub trait MetricChannel: Send {
     /// Send to every neighbor. Best-effort: delivery failures are the
     /// soft-state layer's problem, not the sender's.
-    fn publish(&mut self, payload: Bytes);
+    fn publish(&mut self, payload: Arc<[u8]>);
 
     /// Receive the next pending packet, if any.
-    fn poll(&mut self) -> Option<Bytes>;
+    fn poll(&mut self) -> Option<Arc<[u8]>>;
 }
 
 impl MetricChannel for McastSubscription {
-    fn publish(&mut self, payload: Bytes) {
+    fn publish(&mut self, payload: Arc<[u8]>) {
         McastSubscription::publish(self, payload);
     }
 
-    fn poll(&mut self) -> Option<Bytes> {
+    fn poll(&mut self) -> Option<Arc<[u8]>> {
         McastSubscription::poll(self)
     }
 }
 
 impl MetricChannel for UdpMesh {
-    fn publish(&mut self, payload: Bytes) {
+    fn publish(&mut self, payload: Arc<[u8]>) {
         // UDP is fire-and-forget; socket-level errors are dropped like
         // any other lost datagram.
         let _ = UdpMesh::publish(self, &payload);
     }
 
-    fn poll(&mut self) -> Option<Bytes> {
+    fn poll(&mut self) -> Option<Arc<[u8]>> {
         UdpMesh::poll(self).ok().flatten()
     }
 }
@@ -53,7 +53,7 @@ mod tests {
         let bus = McastBus::new(1);
         let mut a: Box<dyn MetricChannel> = Box::new(bus.subscribe());
         let mut b: Box<dyn MetricChannel> = Box::new(bus.subscribe());
-        a.publish(Bytes::from_static(b"x"));
+        a.publish(Arc::from(&b"x"[..]));
         assert_eq!(b.poll().as_deref(), Some(b"x".as_ref()));
         assert_eq!(a.poll(), None);
     }
@@ -65,7 +65,7 @@ mod tests {
         a.add_peer(b.local_addr().unwrap());
         let mut a: Box<dyn MetricChannel> = Box::new(a);
         let mut b: Box<dyn MetricChannel> = Box::new(b);
-        a.publish(Bytes::from_static(b"y"));
+        a.publish(Arc::from(&b"y"[..]));
         // Non-blocking receive: spin briefly.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         loop {

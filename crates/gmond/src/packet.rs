@@ -7,8 +7,6 @@
 //! in "less than 56Kbps ... roughly the capacity of a dialup modem"
 //! (paper §3.1).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use ganglia_metrics::{MetricType, MetricValue, Slope};
 
 /// Decode failure.
@@ -50,49 +48,44 @@ pub struct MetricPacket {
 
 impl MetricPacket {
     /// Encode to the wire form.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(96);
-        buf.put_u32(MAGIC);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(96);
+        buf.extend_from_slice(&MAGIC.to_be_bytes());
         put_xdr_string(&mut buf, &self.host);
         put_xdr_string(&mut buf, &self.ip);
-        buf.put_u64(self.gmond_started);
+        buf.extend_from_slice(&self.gmond_started.to_be_bytes());
         put_xdr_string(&mut buf, &self.name);
-        buf.put_u32(type_code(self.value.metric_type()));
+        buf.extend_from_slice(&type_code(self.value.metric_type()).to_be_bytes());
         match &self.value {
             MetricValue::String(s) => put_xdr_string(&mut buf, s),
-            MetricValue::Int8(v) => buf.put_i32(i32::from(*v)),
-            MetricValue::Uint8(v) => buf.put_u32(u32::from(*v)),
-            MetricValue::Int16(v) => buf.put_i32(i32::from(*v)),
-            MetricValue::Uint16(v) => buf.put_u32(u32::from(*v)),
-            MetricValue::Int32(v) => buf.put_i32(*v),
-            MetricValue::Uint32(v) => buf.put_u32(*v),
-            MetricValue::Float(v) => buf.put_f32(*v),
-            MetricValue::Double(v) => buf.put_f64(*v),
-            MetricValue::Timestamp(v) => buf.put_u64(*v),
+            MetricValue::Int8(v) => buf.extend_from_slice(&i32::from(*v).to_be_bytes()),
+            MetricValue::Uint8(v) => buf.extend_from_slice(&u32::from(*v).to_be_bytes()),
+            MetricValue::Int16(v) => buf.extend_from_slice(&i32::from(*v).to_be_bytes()),
+            MetricValue::Uint16(v) => buf.extend_from_slice(&u32::from(*v).to_be_bytes()),
+            MetricValue::Int32(v) => buf.extend_from_slice(&v.to_be_bytes()),
+            MetricValue::Uint32(v) => buf.extend_from_slice(&v.to_be_bytes()),
+            MetricValue::Float(v) => buf.extend_from_slice(&v.to_be_bytes()),
+            MetricValue::Double(v) => buf.extend_from_slice(&v.to_be_bytes()),
+            MetricValue::Timestamp(v) => buf.extend_from_slice(&v.to_be_bytes()),
         }
         put_xdr_string(&mut buf, &self.units);
-        buf.put_u32(slope_code(self.slope));
-        buf.put_u32(self.tmax);
-        buf.put_u32(self.dmax);
-        buf.freeze()
+        for v in [slope_code(self.slope), self.tmax, self.dmax] {
+            buf.extend_from_slice(&v.to_be_bytes());
+        }
+        buf
     }
 
     /// Decode from the wire form.
     pub fn decode(mut input: &[u8]) -> Result<MetricPacket, PacketError> {
-        if input.remaining() < 4 || input.get_u32() != MAGIC {
+        if take(&mut input, "bad magic").map(u32::from_be_bytes) != Ok(MAGIC) {
             return Err(PacketError("bad magic"));
         }
         let host = get_xdr_string(&mut input)?;
         let ip = get_xdr_string(&mut input)?;
-        if input.remaining() < 8 {
-            return Err(PacketError("truncated start time"));
-        }
-        let gmond_started = input.get_u64();
+        let gmond_started = u64::from_be_bytes(take(&mut input, "truncated start time")?);
         let name = get_xdr_string(&mut input)?;
-        if input.remaining() < 4 {
-            return Err(PacketError("truncated type"));
-        }
-        let ty = type_from_code(input.get_u32()).ok_or(PacketError("unknown type code"))?;
+        let ty = type_from_code(u32::from_be_bytes(take(&mut input, "truncated type")?))
+            .ok_or(PacketError("unknown type code"))?;
         let value = match ty {
             MetricType::String => MetricValue::String(get_xdr_string(&mut input)?),
             MetricType::Int8 => MetricValue::Int8(get_i32(&mut input)? as i8),
@@ -102,22 +95,13 @@ impl MetricPacket {
             MetricType::Int32 => MetricValue::Int32(get_i32(&mut input)?),
             MetricType::Uint32 => MetricValue::Uint32(get_u32(&mut input)?),
             MetricType::Float => {
-                if input.remaining() < 4 {
-                    return Err(PacketError("truncated float"));
-                }
-                MetricValue::Float(input.get_f32())
+                MetricValue::Float(f32::from_be_bytes(take(&mut input, "truncated float")?))
             }
             MetricType::Double => {
-                if input.remaining() < 8 {
-                    return Err(PacketError("truncated double"));
-                }
-                MetricValue::Double(input.get_f64())
+                MetricValue::Double(f64::from_be_bytes(take(&mut input, "truncated double")?))
             }
             MetricType::Timestamp => {
-                if input.remaining() < 8 {
-                    return Err(PacketError("truncated timestamp"));
-                }
-                MetricValue::Timestamp(input.get_u64())
+                MetricValue::Timestamp(u64::from_be_bytes(take(&mut input, "truncated timestamp")?))
             }
         };
         let units = get_xdr_string(&mut input)?;
@@ -191,11 +175,11 @@ fn slope_from_code(code: u32) -> Option<Slope> {
 }
 
 /// XDR string: u32 length, bytes, zero padding to a 4-byte boundary.
-fn put_xdr_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_xdr_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
+    buf.extend_from_slice(s.as_bytes());
     let pad = (4 - s.len() % 4) % 4;
-    buf.put_bytes(0, pad);
+    buf.resize(buf.len() + pad, 0);
 }
 
 fn get_xdr_string(input: &mut &[u8]) -> Result<String, PacketError> {
@@ -204,28 +188,29 @@ fn get_xdr_string(input: &mut &[u8]) -> Result<String, PacketError> {
         return Err(PacketError("implausible string length"));
     }
     let padded = len + (4 - len % 4) % 4;
-    if input.remaining() < padded {
+    if input.len() < padded {
         return Err(PacketError("truncated string"));
     }
     let s = std::str::from_utf8(&input[..len])
         .map_err(|_| PacketError("non-utf8 string"))?
         .to_string();
-    input.advance(padded);
+    *input = &input[padded..];
     Ok(s)
 }
 
+/// Split `N` bytes off the front of `input`, or fail with `err`.
+fn take<const N: usize>(input: &mut &[u8], err: &'static str) -> Result<[u8; N], PacketError> {
+    let (head, rest) = input.split_first_chunk().ok_or(PacketError(err))?;
+    *input = rest;
+    Ok(*head)
+}
+
 fn get_u32(input: &mut &[u8]) -> Result<u32, PacketError> {
-    if input.remaining() < 4 {
-        return Err(PacketError("truncated u32"));
-    }
-    Ok(input.get_u32())
+    take(input, "truncated u32").map(u32::from_be_bytes)
 }
 
 fn get_i32(input: &mut &[u8]) -> Result<i32, PacketError> {
-    if input.remaining() < 4 {
-        return Err(PacketError("truncated i32"));
-    }
-    Ok(input.get_i32())
+    take(input, "truncated i32").map(i32::from_be_bytes)
 }
 
 #[cfg(test)]
@@ -269,7 +254,7 @@ mod tests {
 
     #[test]
     fn strings_are_four_byte_aligned() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_xdr_string(&mut buf, "abc");
         assert_eq!(buf.len(), 8); // 4 len + 3 bytes + 1 pad
         put_xdr_string(&mut buf, "abcd");

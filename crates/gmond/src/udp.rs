@@ -13,8 +13,7 @@
 
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-
-use bytes::Bytes;
+use std::sync::Arc;
 
 /// Maximum datagram we accept (a metric packet is well under this).
 const MAX_DATAGRAM: usize = 1500;
@@ -64,7 +63,7 @@ impl UdpMesh {
     /// Send one packet to every peer. Partial failure is fine — UDP
     /// gives no guarantee anyway — but local socket errors other than
     /// would-block are reported.
-    pub fn publish(&mut self, payload: &Bytes) -> io::Result<usize> {
+    pub fn publish(&mut self, payload: &[u8]) -> io::Result<usize> {
         let own = self.socket.local_addr().ok();
         let mut delivered = 0;
         for peer in &self.peers {
@@ -84,12 +83,12 @@ impl UdpMesh {
     }
 
     /// Receive one pending datagram, if any.
-    pub fn poll(&mut self) -> io::Result<Option<Bytes>> {
+    pub fn poll(&mut self) -> io::Result<Option<Arc<[u8]>>> {
         let mut buf = [0u8; MAX_DATAGRAM];
         match self.socket.recv_from(&mut buf) {
             Ok((len, _peer)) => {
                 self.received += 1;
-                Ok(Some(Bytes::copy_from_slice(&buf[..len])))
+                Ok(Some(Arc::from(&buf[..len])))
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e),
@@ -97,7 +96,7 @@ impl UdpMesh {
     }
 
     /// Drain everything pending.
-    pub fn drain(&mut self) -> io::Result<Vec<Bytes>> {
+    pub fn drain(&mut self) -> io::Result<Vec<Arc<[u8]>>> {
         let mut out = Vec::new();
         while let Some(datagram) = self.poll()? {
             out.push(datagram);
@@ -148,8 +147,7 @@ mod tests {
                 m.add_peer(addr);
             }
         }
-        let payload = Bytes::from_static(b"metric");
-        let delivered = a.publish(&payload).unwrap();
+        let delivered = a.publish(b"metric").unwrap();
         assert_eq!(delivered, 2, "self excluded from the mesh send");
         assert_eq!(wait_for(|| b.poll()).as_deref(), Some(b"metric".as_ref()));
         assert_eq!(wait_for(|| c.poll()).as_deref(), Some(b"metric".as_ref()));

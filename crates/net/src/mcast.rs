@@ -11,14 +11,13 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::rng::SplitMix64;
 
 struct Inbox {
     id: u64,
-    queue: VecDeque<Bytes>,
+    queue: VecDeque<Arc<[u8]>>,
 }
 
 struct BusState {
@@ -81,7 +80,7 @@ impl McastBus {
         (state.published, state.delivered)
     }
 
-    fn publish_from(&self, sender: u64, payload: &Bytes) {
+    fn publish_from(&self, sender: u64, payload: &Arc<[u8]>) {
         let mut state = self.state.lock();
         state.published += 1;
         let loss = state.loss_probability;
@@ -95,13 +94,13 @@ impl McastBus {
             if inbox.id == sender || dropped {
                 continue;
             }
-            inbox.queue.push_back(payload.clone());
+            inbox.queue.push_back(Arc::clone(payload));
             deliveries += 1;
         }
         state.delivered += deliveries;
     }
 
-    fn poll_for(&self, id: u64) -> Option<Bytes> {
+    fn poll_for(&self, id: u64) -> Option<Arc<[u8]>> {
         let mut state = self.state.lock();
         state
             .inboxes
@@ -123,17 +122,17 @@ pub struct McastSubscription {
 
 impl McastSubscription {
     /// Send a packet to every other subscriber.
-    pub fn publish(&self, payload: Bytes) {
+    pub fn publish(&self, payload: Arc<[u8]>) {
         self.bus.publish_from(self.id, &payload);
     }
 
     /// Receive the next queued packet, if any.
-    pub fn poll(&self) -> Option<Bytes> {
+    pub fn poll(&self) -> Option<Arc<[u8]>> {
         self.bus.poll_for(self.id)
     }
 
     /// Receive everything queued.
-    pub fn drain(&self) -> Vec<Bytes> {
+    pub fn drain(&self) -> Vec<Arc<[u8]>> {
         let mut out = Vec::new();
         while let Some(pkt) = self.poll() {
             out.push(pkt);
@@ -157,16 +156,20 @@ impl Drop for McastSubscription {
 mod tests {
     use super::*;
 
+    fn payload(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
     #[test]
     fn publish_reaches_all_other_subscribers() {
         let bus = McastBus::new(1);
         let a = bus.subscribe();
         let b = bus.subscribe();
         let c = bus.subscribe();
-        a.publish(Bytes::from_static(b"hello"));
+        a.publish(payload(b"hello"));
         assert_eq!(a.poll(), None, "sender must not hear itself");
-        assert_eq!(b.poll().unwrap(), Bytes::from_static(b"hello"));
-        assert_eq!(c.poll().unwrap(), Bytes::from_static(b"hello"));
+        assert_eq!(b.poll().unwrap(), payload(b"hello"));
+        assert_eq!(c.poll().unwrap(), payload(b"hello"));
         assert_eq!(bus.counters(), (1, 2));
     }
 
@@ -175,13 +178,10 @@ mod tests {
         let bus = McastBus::new(1);
         let a = bus.subscribe();
         let b = bus.subscribe();
-        a.publish(Bytes::from_static(b"1"));
-        a.publish(Bytes::from_static(b"2"));
+        a.publish(payload(b"1"));
+        a.publish(payload(b"2"));
         let got = b.drain();
-        assert_eq!(
-            got,
-            vec![Bytes::from_static(b"1"), Bytes::from_static(b"2")]
-        );
+        assert_eq!(got, vec![payload(b"1"), payload(b"2")]);
         assert!(b.drain().is_empty());
     }
 
@@ -194,7 +194,7 @@ mod tests {
             assert_eq!(bus.subscriber_count(), 2);
         }
         assert_eq!(bus.subscriber_count(), 1);
-        a.publish(Bytes::from_static(b"x"));
+        a.publish(payload(b"x"));
         assert_eq!(bus.counters().1, 0, "no deliveries after unsubscribe");
     }
 
@@ -205,7 +205,7 @@ mod tests {
         let b = bus.subscribe();
         bus.set_loss(0.5);
         for _ in 0..1000 {
-            a.publish(Bytes::from_static(b"p"));
+            a.publish(payload(b"p"));
         }
         let received = b.drain().len();
         assert!((350..650).contains(&received), "received {received}");

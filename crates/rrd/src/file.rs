@@ -8,77 +8,76 @@
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::error::RrdError;
 use crate::rrd::{Archive, Rrd};
 use crate::spec::{ConsolidationFn, DataSourceDef, DataSourceType, RraDef, RrdSpec};
 
 const MAGIC: &[u8; 8] = b"GRRD0001";
 
-/// Serialize a database to its binary form.
+/// Serialize a database to its binary form: big-endian fields in
+/// declaration order, strings as a `u32` length then the bytes.
 pub fn encode(rrd: &Rrd) -> Vec<u8> {
     let spec = rrd.spec();
     let ds_count = spec.data_sources.len();
-    let mut buf = BytesMut::with_capacity(64 + spec.cell_count() * 8);
-    buf.put_slice(MAGIC);
-    buf.put_u64(spec.step);
-    buf.put_u64(spec.start);
-    buf.put_u64(rrd.last_update);
-    buf.put_u64(rrd.update_count);
-    buf.put_u32(ds_count as u32);
+    let mut buf = Vec::with_capacity(64 + spec.cell_count() * 8);
+    buf.extend_from_slice(MAGIC);
+    for v in [spec.step, spec.start, rrd.last_update, rrd.update_count] {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+    buf.extend_from_slice(&(ds_count as u32).to_be_bytes());
     for (i, ds) in spec.data_sources.iter().enumerate() {
         put_string(&mut buf, &ds.name);
-        buf.put_u8(ds.dst.to_u8());
-        buf.put_u64(ds.heartbeat);
-        buf.put_f64(ds.min);
-        buf.put_f64(ds.max);
-        buf.put_f64(rrd.last_raw[i]);
-        buf.put_f64(rrd.pdp_sum[i]);
-        buf.put_u64(rrd.pdp_known[i]);
+        buf.push(ds.dst.to_u8());
+        buf.extend_from_slice(&ds.heartbeat.to_be_bytes());
+        for v in [ds.min, ds.max, rrd.last_raw[i], rrd.pdp_sum[i]] {
+            buf.extend_from_slice(&v.to_be_bytes());
+        }
+        buf.extend_from_slice(&rrd.pdp_known[i].to_be_bytes());
     }
-    buf.put_u32(rrd.archives.len() as u32);
+    buf.extend_from_slice(&(rrd.archives.len() as u32).to_be_bytes());
     for archive in &rrd.archives {
-        buf.put_u8(archive.def.cf.to_u8());
-        buf.put_f64(archive.def.xff);
-        buf.put_u64(archive.def.pdp_per_row as u64);
-        buf.put_u64(archive.def.rows as u64);
-        buf.put_u64(archive.steps_in_cdp as u64);
-        buf.put_u64(archive.next as u64);
-        buf.put_u64(archive.written as u64);
-        buf.put_u64(archive.last_row_time);
+        buf.push(archive.def.cf.to_u8());
+        buf.extend_from_slice(&archive.def.xff.to_be_bytes());
+        for v in [
+            archive.def.pdp_per_row,
+            archive.def.rows,
+            archive.steps_in_cdp,
+            archive.next,
+            archive.written,
+        ] {
+            buf.extend_from_slice(&(v as u64).to_be_bytes());
+        }
+        buf.extend_from_slice(&archive.last_row_time.to_be_bytes());
         for &v in &archive.cdp_agg {
-            buf.put_f64(v);
+            buf.extend_from_slice(&v.to_be_bytes());
         }
         for &v in &archive.cdp_known {
-            buf.put_u32(v);
+            buf.extend_from_slice(&v.to_be_bytes());
         }
         for &v in &archive.data {
-            buf.put_f64(v);
+            buf.extend_from_slice(&v.to_be_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Reconstruct a database from its binary form.
-pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
+pub fn decode(input: &[u8]) -> Result<Rrd, RrdError> {
     let bad = |why: &str| RrdError::BadFile(why.to_string());
-    if input.len() < MAGIC.len() || &input[..MAGIC.len()] != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    input.advance(MAGIC.len());
+    let mut rest = input.strip_prefix(MAGIC).ok_or_else(|| bad("bad magic"))?;
+    let input = &mut rest;
     let need = |n: usize, input: &[u8]| -> Result<(), RrdError> {
-        if input.remaining() < n {
+        if input.len() < n {
             Err(RrdError::BadFile("truncated".to_string()))
         } else {
             Ok(())
         }
     };
     need(8 * 4 + 4, input)?;
-    let step = input.get_u64();
-    let start = input.get_u64();
-    let last_update = input.get_u64();
-    let update_count = input.get_u64();
+    let step = get_u64(input)?;
+    let start = get_u64(input)?;
+    let last_update = get_u64(input)?;
+    let update_count = get_u64(input)?;
     // Bound every field that feeds later arithmetic so adversarial
     // files cannot trigger overflow, however implausible: timestamps
     // below 2^48 (about 8.9 million years) and steps below 2^32 keep
@@ -89,7 +88,7 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
     if start > 1 << 48 || last_update > 1 << 48 || last_update < start {
         return Err(bad("implausible timestamps"));
     }
-    let ds_count = input.get_u32() as usize;
+    let ds_count = get_u32(input)? as usize;
     if ds_count == 0 || ds_count > 1 << 16 {
         return Err(bad("implausible data source count"));
     }
@@ -98,13 +97,13 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
     let mut pdp_sum = Vec::with_capacity(ds_count);
     let mut pdp_known = Vec::with_capacity(ds_count);
     for _ in 0..ds_count {
-        let name = get_string(&mut input)?;
+        let name = get_string(input)?;
         // dst byte + heartbeat/min/max + last_raw/pdp_sum/pdp_known.
         need(1 + 8 * 6, input)?;
-        let dst = DataSourceType::from_u8(input.get_u8()).ok_or_else(|| bad("bad ds type"))?;
-        let heartbeat = input.get_u64();
-        let min = input.get_f64();
-        let max = input.get_f64();
+        let dst = DataSourceType::from_u8(get_u8(input)?).ok_or_else(|| bad("bad ds type"))?;
+        let heartbeat = get_u64(input)?;
+        let min = get_f64(input)?;
+        let max = get_f64(input)?;
         data_sources.push(DataSourceDef {
             name,
             dst,
@@ -112,9 +111,9 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
             min,
             max,
         });
-        last_raw.push(input.get_f64());
-        pdp_sum.push(input.get_f64());
-        let known = input.get_u64();
+        last_raw.push(get_f64(input)?);
+        pdp_sum.push(get_f64(input)?);
+        let known = get_u64(input)?;
         // Known seconds accumulate within the current step only.
         if known > step {
             return Err(bad("pdp accumulator exceeds step"));
@@ -122,7 +121,7 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
         pdp_known.push(known);
     }
     need(4, input)?;
-    let rra_count = input.get_u32() as usize;
+    let rra_count = get_u32(input)? as usize;
     if rra_count == 0 || rra_count > 1 << 10 {
         return Err(bad("implausible archive count"));
     }
@@ -130,10 +129,10 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
     let mut archives = Vec::with_capacity(rra_count);
     for _ in 0..rra_count {
         need(1 + 8 * 7, input)?;
-        let cf = ConsolidationFn::from_u8(input.get_u8()).ok_or_else(|| bad("bad cf"))?;
-        let xff = input.get_f64();
-        let pdp_per_row = input.get_u64() as usize;
-        let rows = input.get_u64() as usize;
+        let cf = ConsolidationFn::from_u8(get_u8(input)?).ok_or_else(|| bad("bad cf"))?;
+        let xff = get_f64(input)?;
+        let pdp_per_row = get_u64(input)? as usize;
+        let rows = get_u64(input)? as usize;
         if pdp_per_row == 0 || pdp_per_row > 1 << 20 || rows == 0 || rows > 1 << 24 {
             return Err(bad("implausible archive dimensions"));
         }
@@ -144,10 +143,10 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
             rows,
         };
         archive_defs.push(def);
-        let steps_in_cdp = input.get_u64() as usize;
-        let next = input.get_u64() as usize;
-        let written = input.get_u64() as usize;
-        let last_row_time = input.get_u64();
+        let steps_in_cdp = get_u64(input)? as usize;
+        let next = get_u64(input)? as usize;
+        let written = get_u64(input)? as usize;
+        let last_row_time = get_u64(input)?;
         // `steps_in_cdp == pdp_per_row` is unreachable at rest (the row
         // would have been finalized) and would hang the feed loop.
         if next >= rows || written > rows || steps_in_cdp >= pdp_per_row {
@@ -173,11 +172,11 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
         need(ds_count * 12 + rows * ds_count * 8, input)?;
         let mut cdp_agg = Vec::with_capacity(ds_count);
         for _ in 0..ds_count {
-            cdp_agg.push(input.get_f64());
+            cdp_agg.push(get_f64(input)?);
         }
         let mut cdp_known = Vec::with_capacity(ds_count);
         for _ in 0..ds_count {
-            let known = input.get_u32();
+            let known = get_u32(input)?;
             // Known PDPs accumulate within the row in progress only.
             if known as usize > steps_in_cdp {
                 return Err(bad("cdp accumulator exceeds row progress"));
@@ -186,7 +185,7 @@ pub fn decode(mut input: &[u8]) -> Result<Rrd, RrdError> {
         }
         let mut data = Vec::with_capacity(rows * ds_count);
         for _ in 0..rows * ds_count {
-            data.push(input.get_f64());
+            data.push(get_f64(input)?);
         }
         archives.push(Archive {
             def,
@@ -266,23 +265,51 @@ pub fn load(path: &Path) -> Result<Rrd, RrdError> {
     decode(&bytes)
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+fn put_string(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 fn get_string(input: &mut &[u8]) -> Result<String, RrdError> {
-    if input.remaining() < 4 {
+    if input.len() < 4 {
         return Err(RrdError::BadFile("truncated string length".to_string()));
     }
-    let len = input.get_u32() as usize;
-    if len > 1 << 16 || input.remaining() < len {
+    let len = get_u32(input)? as usize;
+    if len > 1 << 16 || input.len() < len {
         return Err(RrdError::BadFile("truncated string".to_string()));
     }
-    let s = String::from_utf8(input[..len].to_vec())
+    let (bytes, rest) = input.split_at(len);
+    let s = String::from_utf8(bytes.to_vec())
         .map_err(|_| RrdError::BadFile("non-utf8 string".to_string()))?;
-    input.advance(len);
+    *input = rest;
     Ok(s)
+}
+
+/// Split `N` bytes off the front of `input`. `decode` checks lengths
+/// before each group of fields, so this fails only if a check is
+/// missing, and then as a truncated file rather than a panic.
+fn take<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], RrdError> {
+    let (head, rest) = input
+        .split_first_chunk()
+        .ok_or_else(|| RrdError::BadFile("truncated".to_string()))?;
+    *input = rest;
+    Ok(*head)
+}
+
+fn get_u8(input: &mut &[u8]) -> Result<u8, RrdError> {
+    take::<1>(input).map(|[b]| b)
+}
+
+fn get_u32(input: &mut &[u8]) -> Result<u32, RrdError> {
+    take(input).map(u32::from_be_bytes)
+}
+
+fn get_u64(input: &mut &[u8]) -> Result<u64, RrdError> {
+    take(input).map(u64::from_be_bytes)
+}
+
+fn get_f64(input: &mut &[u8]) -> Result<f64, RrdError> {
+    take(input).map(f64::from_be_bytes)
 }
 
 #[cfg(test)]

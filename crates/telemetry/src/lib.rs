@@ -42,4 +42,4 @@ pub use clock::LogicalClock;
 pub use histogram::{bucket_index, bucket_lower_bound, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{Counter, Gauge, HistogramHandle, Registry};
 pub use snapshot::{json_string, Snapshot, TelemetryError};
-pub use span::{Span, SpanEvent, Tracer};
+pub use span::{Round, Span, SpanEvent, Tracer};

@@ -14,9 +14,12 @@
 //! happened when" log that is deterministic under the sim's virtual
 //! time even though the durations inside it are real measurements.
 //!
-//! Events are *round-correlated*: the tracer carries a monotone round
-//! counter ([`Tracer::begin_round`], bumped once per poll round) and
-//! every span captures the current round id at open. Spans can also be
+//! Events are *round-correlated*: [`Tracer::begin_round`] bumps a
+//! monotone round counter once per poll round and returns a [`Round`]
+//! handle. Spans opened from the handle carry its id explicitly, so a
+//! round's spans keep their id even while another round begins on a
+//! different thread. Spans opened outside a round ([`Tracer::span`],
+//! e.g. queries) capture whichever round is current. Spans can also be
 //! labelled with the data source they work on and the outcome they
 //! finished with, so the ring doubles as a structured trace log — one
 //! slow root render can be chased down to the exact poll/ingest/
@@ -110,10 +113,14 @@ impl Tracer {
         self
     }
 
-    /// Start a new poll round; returns its id (1-based). Spans opened
-    /// from here until the next call carry this id.
-    pub fn begin_round(&self) -> u64 {
-        self.round.fetch_add(1, Ordering::SeqCst) + 1
+    /// Start a new poll round with the next id (1-based). Spans opened
+    /// from the returned handle carry that id; spans opened through
+    /// [`Tracer::span`] carry it until the next call.
+    pub fn begin_round(&self) -> Round<'_> {
+        Round {
+            tracer: self,
+            id: self.round.fetch_add(1, Ordering::SeqCst) + 1,
+        }
     }
 
     /// The id of the round currently in progress (0 before the first).
@@ -121,13 +128,17 @@ impl Tracer {
         self.round.load(Ordering::SeqCst)
     }
 
-    /// Open a root span.
+    /// Open a root span stamped with the round currently in progress.
     pub fn span(&self, name: &str) -> Span<'_> {
+        self.open(name, self.current_round())
+    }
+
+    fn open(&self, name: &str, round: u64) -> Span<'_> {
         Span {
             tracer: self,
             path: name.to_string(),
             start: Instant::now(),
-            round: self.current_round(),
+            round,
             opened_at: self.clock.now(),
             source: String::new(),
             outcome: String::new(),
@@ -169,6 +180,25 @@ impl Tracer {
             }
             log.push_back(event);
         }
+    }
+}
+
+/// A poll round in progress (see [`Tracer::begin_round`]).
+#[derive(Debug)]
+pub struct Round<'t> {
+    tracer: &'t Tracer,
+    id: u64,
+}
+
+impl<'t> Round<'t> {
+    /// This round's id.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Open a root span stamped with this round's id.
+    pub fn span(&self, name: &str) -> Span<'t> {
+        self.tracer.open(name, self.id)
     }
 }
 
@@ -298,7 +328,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let tracer = Tracer::new(Arc::clone(&registry), clock.clone()).with_event_log(8);
         clock.set(100);
-        assert_eq!(tracer.begin_round(), 1);
+        assert_eq!(tracer.begin_round().id(), 1);
         {
             let round = tracer.span("round");
             let mut poll = round.child("poll");
@@ -308,7 +338,7 @@ mod tests {
             assert_eq!(ingest.round(), 1);
             drop(ingest);
         }
-        assert_eq!(tracer.begin_round(), 2);
+        assert_eq!(tracer.begin_round().id(), 2);
         let _ = tracer.span("round");
         let events = tracer.events();
         // Drop order: ingest, poll, round (round 1), then round 2.
@@ -366,9 +396,11 @@ mod tests {
                     let source = format!("src-{w}");
                     for i in 0..ROUNDS {
                         // Each writer drives its own rounds off the
-                        // shared counter, as concurrent daemons would.
-                        let round = tracer.begin_round();
-                        let mut span = tracer.span("round.poll");
+                        // shared counter, as concurrent daemons would,
+                        // and opens its span from its own round.
+                        let handle = tracer.begin_round();
+                        let round = handle.id();
+                        let mut span = handle.span("round.poll");
                         span.set_source(&source);
                         span.set_outcome(if i % 3 == 0 { "failed" } else { "ok" });
                         assert_eq!(span.round(), round);

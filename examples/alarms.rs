@@ -2,15 +2,16 @@
 //! situations to a human.
 //!
 //! A summary-level rule watches every cluster's mean load; a
-//! hosts-down rule pages when a cluster loses nodes. The engine runs
-//! off the same query port the web frontend uses, so it works at any
+//! hosts-down rule pages when a cluster loses nodes. The alarm feed
+//! compiles each rule to a GQL query and runs it over what the same
+//! query port the web frontend uses returns, so it works at any
 //! resolution of the tree.
 //!
 //! ```sh
 //! cargo run --example alarms
 //! ```
 
-use ganglia::alarm::{AlarmEngine, Comparison, Matcher, MemorySink, Rule, Signal};
+use ganglia::alarm::{AlarmFeed, Comparison, Matcher, MemorySink, Rule, Signal};
 use ganglia::metrics::parse_document;
 use ganglia::sim::{fig2_tree, Deployment, DeploymentParams};
 
@@ -33,18 +34,18 @@ fn main() {
             Comparison::Above(0.0),
         ),
     ];
-    let mut engine = AlarmEngine::new(rules);
+    let mut feed = AlarmFeed::new(rules);
     let sink = MemorySink::new();
 
     // Evaluate against the sdsc gmeta's meta view every round.
-    let evaluate = |deployment: &Deployment, engine: &mut AlarmEngine, sink: &MemorySink| {
+    let evaluate = |deployment: &Deployment, feed: &mut AlarmFeed, sink: &MemorySink| {
         let xml = deployment.monitor("sdsc").query("/?filter=summary");
         let doc = parse_document(&xml).expect("well-formed");
-        engine.evaluate(&doc, deployment.now(), sink)
+        feed.evaluate_doc(&doc, deployment.now(), sink)
     };
 
     println!("steady state:");
-    let events = evaluate(&deployment, &mut engine, &sink);
+    let events = evaluate(&deployment, &mut feed, &sink);
     println!("  {} alarm transition(s)", events.len());
 
     // Partition one cluster; its hosts vanish from the UP count once the
@@ -54,7 +55,7 @@ fn main() {
     println!("\npartitioning sdsc-c0 (its summary goes stale, hosts unchanged)...");
     deployment.partition_cluster("sdsc-c0", true);
     deployment.run_rounds(1);
-    let events = evaluate(&deployment, &mut engine, &sink);
+    let events = evaluate(&deployment, &mut feed, &sink);
     println!("  {} alarm transition(s)", events.len());
 
     // A cluster with genuinely down hosts: replace the summary by
@@ -69,7 +70,7 @@ fn main() {
         </CLUSTER>
       </GRID></GANGLIA_XML>"#;
     let doc = parse_document(xml).expect("well-formed");
-    let events = engine.evaluate(&doc, deployment.now() + 15, &MemorySink::new());
+    let events = feed.evaluate_doc(&doc, deployment.now() + 15, &MemorySink::new());
     for event in &events {
         println!(
             "  {:?}: rule {} on {} (value {:.1})",
@@ -80,7 +81,7 @@ fn main() {
         .iter()
         .any(|e| e.rule == "hosts-down" && e.subject == "sdsc-c0"));
 
-    println!("\ncurrently firing: {:?}", engine.firing());
+    println!("\ncurrently firing: {:?}", feed.engine().firing());
     println!(
         "total transitions delivered to the sink: {}",
         sink.events().len()

@@ -161,7 +161,7 @@ fn alarm_feed_rides_subscriptions_over_the_wire() {
     assert!(events.iter().all(|e| e.kind == AlarmKind::Raised));
 
     // Later rounds keep the alarm held without new events — same
-    // hysteresis as the document walker.
+    // hysteresis as `AlarmFeed::evaluate_doc`.
     for cluster in &served {
         cluster.advance(30);
     }
